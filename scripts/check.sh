@@ -3,17 +3,15 @@
 # and run every bench binary.  This is the command sequence EXPERIMENTS.md
 # numbers are regenerated with.
 #
-# The test suite runs twice: once with the observability layer compiled in
-# (the default) and once with -DNETPART_OBS=OFF, so a change can never pass
-# while the macro-disabled configuration fails to build or regresses.
-# Each full-suite configuration also boots a live netpartd and drives it
-# with netpartc (server_smoke below).  A third, ThreadSanitizer-instrumented
-# build then runs the parallel-runtime, observability, server, and
-# repartitioning tests at several lane counts to race-check the pool.
+# The full suite runs in the one build configuration, then boots a live
+# netpartd and drives it with netpartc (server_smoke below).  A second,
+# ThreadSanitizer-instrumented build then runs the parallel-runtime,
+# observability, server, and repartitioning tests at several lane counts to
+# race-check the pool.
 #
 # Usage: check.sh [--fast]
-#   --fast  Tier-1 loop only: single OBS=ON configuration, tests not labeled
-#           "slow" (ctest -LE slow), no second config, no TSan, no benches.
+#   --fast  Tier-1 loop only: tests not labeled "slow" (ctest -LE slow), no
+#           smokes, no TSan, no benches.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,15 +22,12 @@ fi
 
 # End-to-end smoke of the partition server: boot netpartd on an abstract
 # socket, drive a load/partition/cache-hit/metrics/stats sequence with
-# netpartc, and shut it down cleanly.  Run against both OBS configurations
-# below — the `stats` telemetry (rolling percentiles, Prometheus body,
-# access log) must stay live even when the obs layer is compiled out, and so
-# must the trace-context echo, the per-stage decomposition, and the flight
-# recorder.  Only the Chrome-trace request overlay needs OBS=ON (pass "on"
-# as the second argument to exercise it).
+# netpartc, check the `stats` telemetry (rolling percentiles, Prometheus
+# body, access log), the trace-context echo, the per-stage decomposition,
+# the flight recorder and the Chrome-trace request overlay, and shut it
+# down cleanly.
 server_smoke() {
   local bindir="$1"
-  local obs="${2:-on}"
   local sock="@netpart-check-$$-${bindir//\//-}"
   local access_log="$bindir/access-smoke.ndjson"
   rm -f "$access_log"
@@ -60,9 +55,7 @@ server_smoke() {
   grep -q '^# TYPE netpartd_request_latency_ms summary' \
     "$bindir/stats-smoke.prom"
   # Sampling profiler round trip: start, run a compute request with the
-  # convergence-event splice, dump the folded stacks, stop.  Under OBS=OFF
-  # the ops still succeed (empty profile, empty event array), so the same
-  # sequence validates both configurations.
+  # convergence-event splice, dump the folded stacks, stop.
   "$bindir/tools/netpartc" --socket "$sock" profile start
   "$bindir/tools/netpartc" --socket "$sock" raw \
     '{"id":9,"op":"load","session":"smoke3","circuit":"bm1"}'
@@ -105,22 +98,19 @@ assert mine, f"trace_id {sys.argv[2]} not in flight recorder"
 assert any(r["outcome"] == "ok" for r in mine), mine
 print(f"flight recorder ok ({len(recs)} records, {len(doc['notes'])} notes)")
 EOF
-  if [ "$obs" = "on" ]; then
-    # Chrome trace with the request-stage overlay: every request span must
-    # carry the caller's trace_id (OBS=ON only — the trace splice is
-    # compiled out otherwise).
-    "$bindir/tools/netpartc" --socket "$sock" raw \
-      "{\"id\":12,\"op\":\"partition\",\"session\":\"smoke3\",\"use_cache\":false,\"trace\":true,\"trace_format\":\"chrome\",\"trace_id\":\"$tid\",\"span_id\":\"0123456789abcdef\"}" \
-      > "$bindir/chrome-smoke.json"
-    python3 - "$bindir/chrome-smoke.json" "$bindir/chrome-smoke.trace" <<'EOF'
+  # Chrome trace with the request-stage overlay: every request span must
+  # carry the caller's trace_id.
+  "$bindir/tools/netpartc" --socket "$sock" raw \
+    "{\"id\":12,\"op\":\"partition\",\"session\":\"smoke3\",\"use_cache\":false,\"trace\":true,\"trace_format\":\"chrome\",\"trace_id\":\"$tid\",\"span_id\":\"0123456789abcdef\"}" \
+    > "$bindir/chrome-smoke.json"
+  python3 - "$bindir/chrome-smoke.json" "$bindir/chrome-smoke.trace" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["ok"], doc
 json.dump(doc["trace"], open(sys.argv[2], "w"))
 EOF
-    python3 scripts/validate_trace.py "$bindir/chrome-smoke.trace" \
-      --min-events 1 --require-trace-id
-  fi
+  python3 scripts/validate_trace.py "$bindir/chrome-smoke.trace" \
+    --min-events 1 --require-trace-id
   "$bindir/tools/netpartc" --socket "$sock" shutdown
   wait "$pid"
   # Every executed request must have produced one parseable NDJSON line,
@@ -143,9 +133,7 @@ EOF
 }
 
 # Crash post-mortem: SIGSEGV a loaded daemon mid-request and require a
-# parseable NDJSON dump naming the in-flight request by trace_id.  The
-# flight recorder is always-live telemetry, so this runs for both OBS
-# configurations.
+# parseable NDJSON dump naming the in-flight request by trace_id.
 postmortem_smoke() {
   local bindir="$1"
   local sock="@netpart-pm-$$-${bindir//\//-}"
@@ -222,14 +210,14 @@ EOF
   echo "telemetry smoke ($bindir): ok"
 }
 
-cmake -B build -G Ninja -DNETPART_WARNINGS_AS_ERRORS=ON -DNETPART_OBS=ON
+cmake -B build -G Ninja -DNETPART_WARNINGS_AS_ERRORS=ON
 cmake --build build
 if [ "$FAST" -eq 1 ]; then
   ctest --test-dir build --output-on-failure -LE slow
   exit 0
 fi
 ctest --test-dir build --output-on-failure
-server_smoke build on
+server_smoke build
 postmortem_smoke build
 telemetry_smoke build
 
@@ -260,23 +248,6 @@ if [ -f BENCH_vcycle.json ]; then
     --require-true quality_all_within_5pct \
     --require-true routed_100k --require-true proper_100k
 fi
-
-cmake -B build-noobs -G Ninja -DNETPART_WARNINGS_AS_ERRORS=ON -DNETPART_OBS=OFF
-cmake --build build-noobs
-ctest --test-dir build-noobs --output-on-failure
-server_smoke build-noobs off
-postmortem_smoke build-noobs
-# With obs compiled out the exporters must still run (and emit an empty
-# span tree / empty profile / empty event stream), so only the floors
-# differ from the OBS=ON stage.
-./build-noobs/tools/netpart partition bm1 igmatch \
-  --trace-out build-noobs/trace-smoke.json \
-  --profile-out build-noobs/profile-smoke.folded \
-  --events-out build-noobs/events-smoke.ndjson
-python3 scripts/validate_trace.py build-noobs/trace-smoke.json --min-events 0
-python3 scripts/validate_folded.py build-noobs/profile-smoke.folded \
-  --min-samples 0
-test ! -s build-noobs/events-smoke.ndjson
 
 # ThreadSanitizer pass over the concurrency-sensitive binaries.  Only the
 # targets that exercise the pool, the shared metrics registry, and the

@@ -205,9 +205,7 @@ FmPassResult FmEngine::run_pass(bool use_ratio, std::int32_t min_left,
 
   std::vector<ModuleId> moves;
   moves.reserve(static_cast<std::size_t>(n));
-  // [[maybe_unused]]: consumed only by NETPART_EVENT below, which expands
-  // to nothing under -DNETPART_OBS=OFF.
-  [[maybe_unused]] const std::int64_t start_cut = weighted_cut_;
+  const std::int64_t start_cut = weighted_cut_;
   std::int64_t best_cut = weighted_cut_;
   double best_ratio = ratio();
   std::size_t best_prefix = 0;

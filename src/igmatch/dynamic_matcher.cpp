@@ -231,10 +231,8 @@ void DynamicBipartiteMatcher::move_to_right(std::int32_t v) {
   if (side_[idx] != NetSide::kLeft)
     throw std::logic_error("move_to_right: vertex already on the right");
 
-  // [[maybe_unused]]: consumed only by the metrics macros below, which
-  // expand to nothing under -DNETPART_OBS=OFF.
-  [[maybe_unused]] const std::int64_t paths_before = augmenting_paths_found_;
-  [[maybe_unused]] const std::int64_t scanned_before = edges_scanned_;
+  const std::int64_t paths_before = augmenting_paths_found_;
+  const std::int64_t scanned_before = edges_scanned_;
 
   // Step 1: remove v from L.  Retire its free status first (the seed
   // counters of its R-neighbors reference it), then pull it out of every

@@ -1,31 +1,10 @@
 #include "obs/events.hpp"
 
-#if NETPART_OBS_ENABLED
-
-#include <algorithm>
 #include <chrono>
 
 #include "obs/metrics.hpp"
 
 namespace netpart::obs {
-
-namespace {
-
-double event_now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
-struct EventRing::Slot {
-  std::atomic<std::uint32_t> ready{0};
-  double t_ms = 0.0;
-  const char* kind = nullptr;
-  std::uint32_t n_fields = 0;
-  EventField fields[kMaxEventFields];
-};
 
 EventRing& EventRing::instance() {
   static EventRing ring;
@@ -33,13 +12,10 @@ EventRing& EventRing::instance() {
 }
 
 void EventRing::arm() {
-  if (slots_ == nullptr) slots_ = new Slot[kEventRingCapacity];
-  const std::uint64_t used =
-      std::min<std::uint64_t>(head_.load(std::memory_order_relaxed),
-                              kEventRingCapacity);
-  for (std::uint64_t i = 0; i < used; ++i)
-    slots_[i].ready.store(0, std::memory_order_relaxed);
-  head_.store(0, std::memory_order_relaxed);
+  if (ring_.capacity() == 0)
+    ring_.allocate(kEventRingCapacity);
+  else
+    ring_.clear();
   armed_.store(true, std::memory_order_release);
 }
 
@@ -49,57 +25,48 @@ void EventRing::emit(const char* kind,
                      std::initializer_list<EventField> fields) {
   // Acquire pairs with arm()'s release so the slot array is visible.
   if (!armed_.load(std::memory_order_acquire)) return;
-  const std::uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
-  if (ticket >= kEventRingCapacity) return;  // full: dropped() counts these
-  Slot& slot = slots_[ticket];
-  slot.t_ms = event_now_ms();
-  slot.kind = kind;
-  std::uint32_t n = 0;
+  Event ev;
+  ev.t_ms = std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now().time_since_epoch())
+                .count();
+  ev.kind = kind;
   for (const EventField& field : fields) {
-    if (n >= kMaxEventFields) break;
-    slot.fields[n++] = field;
+    if (ev.n_fields == kMaxEventFields) break;
+    ev.fields[ev.n_fields++] = field;
   }
-  slot.n_fields = n;
-  slot.ready.store(1, std::memory_order_release);
+  ring_.push(ev);
 }
 
 std::int64_t EventRing::recorded() const {
-  return static_cast<std::int64_t>(head_.load(std::memory_order_relaxed));
+  return static_cast<std::int64_t>(ring_.pushed());
 }
 
 std::int64_t EventRing::dropped() const {
-  const std::uint64_t head = head_.load(std::memory_order_relaxed);
-  return head > kEventRingCapacity
-             ? static_cast<std::int64_t>(head - kEventRingCapacity)
-             : 0;
+  return static_cast<std::int64_t>(ring_.lost());
 }
 
 void EventRing::append_records(std::string& out, char separator) const {
-  if (slots_ == nullptr) return;
-  const std::uint64_t count = std::min<std::uint64_t>(
-      head_.load(std::memory_order_acquire), kEventRingCapacity);
   bool first = true;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const Slot& slot = slots_[i];
-    if (slot.ready.load(std::memory_order_acquire) != 1) continue;
+  ring_.for_each([&](std::uint64_t seq, const Event& ev) {
     if (!first) out += separator;
     first = false;
     out += "{\"seq\":";
-    out += std::to_string(i);
+    out += std::to_string(seq);
     out += ",\"t_ms\":";
-    json_append_number(out, slot.t_ms);
+    json_append_number(out, ev.t_ms);
     out += ",\"kind\":\"";
-    out += json_escape(slot.kind != nullptr ? slot.kind : "");
+    out += json_escape(ev.kind != nullptr ? ev.kind : "");
     out += '"';
-    for (std::uint32_t f = 0; f < slot.n_fields; ++f) {
+    for (std::uint32_t f = 0; f < ev.n_fields; ++f) {
       out += ",\"";
-      out += json_escape(slot.fields[f].name != nullptr ? slot.fields[f].name
-                                                        : "");
+      out += json_escape(ev.fields[f].name != nullptr ? ev.fields[f].name
+                                                      : "");
       out += "\":";
-      json_append_number(out, slot.fields[f].value);
+      json_append_number(out, ev.fields[f].value);
     }
     out += '}';
-  }
+    return true;
+  });
 }
 
 std::string EventRing::drain_ndjson() const {
@@ -117,5 +84,3 @@ std::string EventRing::drain_json_array() const {
 }
 
 }  // namespace netpart::obs
-
-#endif  // NETPART_OBS_ENABLED

@@ -5,6 +5,8 @@
 #include <initializer_list>
 #include <string>
 
+#include "obs/ring.hpp"
+
 /// \file events.hpp
 /// Solver convergence event stream.  Kernels emit small numeric records —
 /// one per Lanczos check, FM pass, sweep point, augmenting path — through
@@ -14,17 +16,14 @@
 ///
 /// Design constraints:
 ///  - Emission is wait-free and allocation-free (kernels emit from pool
-///    worker threads, e.g. FM passes), using a fetch_add ticket plus a
-///    per-slot ready flag.  Field names and kinds must be string literals.
+///    worker threads, e.g. FM passes): the ring is the obs layer's seqlock
+///    ring (ring.hpp).  Field names and kinds must be string literals.
 ///  - The ring is bounded and *drop-new*: once full, later events are
 ///    counted as dropped rather than overwriting earlier ones, so the head
 ///    of a convergence series (the interesting part) always survives.
-///  - Disarmed cost is one relaxed atomic load per site; with
-///    -DNETPART_OBS=OFF the macro expands to nothing.
-
-#ifndef NETPART_OBS_ENABLED
-#define NETPART_OBS_ENABLED 1
-#endif
+///  - Disarmed cost is one inline relaxed atomic load and a branch per
+///    site; the 32Ki slots are allocated on the first arm(), so a process
+///    that never arms the ring never pays for them.
 
 namespace netpart::obs {
 
@@ -39,8 +38,6 @@ struct EventField {
 inline constexpr std::size_t kEventRingCapacity = 1u << 15;
 inline constexpr std::size_t kMaxEventFields = 4;
 
-#if NETPART_OBS_ENABLED
-
 /// Process-wide bounded event ring.  arm() clears it and opens emission;
 /// drain_*() serialize everything recorded since, in emission order.
 class EventRing {
@@ -52,7 +49,7 @@ class EventRing {
   void arm();
   /// Close emission; recorded events stay drainable.
   void disarm();
-  [[nodiscard]] bool armed() const {
+  [[nodiscard]] static bool armed() {
     return armed_.load(std::memory_order_relaxed);
   }
 
@@ -76,53 +73,28 @@ class EventRing {
  private:
   EventRing() = default;
 
-  struct Slot;
+  struct Event {
+    double t_ms = 0.0;
+    const char* kind = nullptr;
+    std::uint32_t n_fields = 0;
+    EventField fields[kMaxEventFields] = {};
+  };
+
   void append_records(std::string& out, char separator) const;
 
-  std::atomic<bool> armed_{false};
-  std::atomic<std::uint64_t> head_{0};
-  Slot* slots_ = nullptr;  ///< allocated on first arm(), never freed
+  static inline std::atomic<bool> armed_{false};
+  SeqlockRing<Event, RingPolicy::kDropNew> ring_;
 };
-
-#else  // NETPART_OBS_ENABLED == 0: inline no-op stubs.
-
-class EventRing {
- public:
-  static EventRing& instance() {
-    static EventRing ring;
-    return ring;
-  }
-  void arm() {}
-  void disarm() {}
-  [[nodiscard]] bool armed() const { return false; }
-  void emit(const char*, std::initializer_list<EventField>) {}
-  [[nodiscard]] std::int64_t recorded() const { return 0; }
-  [[nodiscard]] std::int64_t dropped() const { return 0; }
-  [[nodiscard]] std::string drain_ndjson() const { return {}; }
-  [[nodiscard]] std::string drain_json_array() const { return "[]"; }
-};
-
-#endif  // NETPART_OBS_ENABLED
 
 }  // namespace netpart::obs
-
-#if NETPART_OBS_ENABLED
 
 /// Emit one convergence event, e.g.
 ///   NETPART_EVENT("lanczos.iteration", {"j", j}, {"residual", r});
 /// Field values must already be doubles (cast integers at the site).
-/// Disarmed cost: one relaxed load and a branch.
-#define NETPART_EVENT(kind, ...)                                        \
-  do {                                                                  \
-    auto& netpart_obs_ring_ = ::netpart::obs::EventRing::instance();    \
-    if (netpart_obs_ring_.armed())                                      \
-      netpart_obs_ring_.emit((kind), {__VA_ARGS__});                    \
+/// Disarmed cost: one inline relaxed load and a branch; the arguments are
+/// evaluated only while the ring is armed.
+#define NETPART_EVENT(kind, ...)                                          \
+  do {                                                                    \
+    if (::netpart::obs::EventRing::armed())                               \
+      ::netpart::obs::EventRing::instance().emit((kind), {__VA_ARGS__});  \
   } while (0)
-
-#else
-
-#define NETPART_EVENT(kind, ...) \
-  do {                           \
-  } while (0)
-
-#endif  // NETPART_OBS_ENABLED

@@ -4,30 +4,13 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 
 namespace netpart::obs {
 namespace {
-
-// Payload sizes in 64-bit words.  Both records are trivially copyable and
-// small; the stack staging buffer below is sized for the larger of the two.
-constexpr std::size_t words_for(std::size_t bytes) {
-  return (bytes + 7) / 8;
-}
-constexpr std::size_t kMaxPayloadWords = 16;
-static_assert(words_for(sizeof(FlightRecord)) <= kMaxPayloadWords);
-static_assert(words_for(sizeof(FlightNote)) <= kMaxPayloadWords);
-
-std::uint64_t fnv1a(const std::uint64_t* words, std::size_t n) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= words[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 // Class labels mirror runtime::class_name(); obs cannot depend on the
 // server target, so the three admission-class names are duplicated here
@@ -43,12 +26,6 @@ const char* class_label(std::uint8_t cls) {
     default:
       return "unknown";
   }
-}
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
 }
 
 std::int64_t wall_now_ms() {
@@ -108,8 +85,7 @@ struct LineBuf {
   }
 };
 
-std::size_t format_record_line(char* buf, std::size_t cap,
-                               const FlightRecord& r) {
+std::size_t format_line(char* buf, std::size_t cap, const FlightRecord& r) {
   LineBuf out{buf, cap};
   out.puts("{\"type\":\"request\",\"trace_id\":");
   if ((r.trace_hi | r.trace_lo) != 0) {
@@ -146,7 +122,7 @@ std::size_t format_record_line(char* buf, std::size_t cap,
   return out.len;
 }
 
-std::size_t format_note_line(char* buf, std::size_t cap, const FlightNote& n) {
+std::size_t format_line(char* buf, std::size_t cap, const FlightNote& n) {
   LineBuf out{buf, cap};
   out.puts("{\"type\":\"note\",\"ts_ms\":");
   out.put_int(n.wall_ms);
@@ -172,6 +148,31 @@ bool write_all(int fd, const char* buf, std::size_t n, std::int64_t* total) {
   }
   *total += static_cast<std::int64_t>(n);
   return true;
+}
+
+/// A ring's surviving records as a JSON array, one format_line() each.
+template <typename Ring>
+std::string to_json_array(const Ring& ring) {
+  std::string out = "[";
+  char line[kLineCap];
+  ring.for_each([&](std::uint64_t, const auto& item) {
+    if (out.size() > 1) out += ',';
+    out.append(line, format_line(line, sizeof(line), item));
+    return true;
+  });
+  out += ']';
+  return out;
+}
+
+/// A ring's surviving records, oldest first.
+template <typename T, typename Ring>
+std::vector<T> collect(const Ring& ring) {
+  std::vector<T> out;
+  ring.for_each([&](std::uint64_t, const T& item) {
+    out.push_back(item);
+    return true;
+  });
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -232,85 +233,6 @@ void FlightNote::set_kind(const char* name) {
 }
 
 // ---------------------------------------------------------------------------
-// Seqlock ring.
-
-template <typename T>
-void FlightRecorder::Ring<T>::configure(std::size_t cap) {
-  // Old slot arrays are intentionally leaked on reconfigure (matches the
-  // EventRing precedent): a racing record() may still hold a pointer, and
-  // reconfiguration happens O(1) times per process.
-  if (cap == 0) {
-    (void)slots.release();
-    mask = 0;
-    capacity = 0;
-    words_per = 0;
-    head.store(0, std::memory_order_relaxed);
-    return;
-  }
-  const std::size_t rounded = round_up_pow2(cap);
-  words_per = words_for(sizeof(T));
-  auto fresh = std::make_unique<Slot[]>(rounded);
-  for (std::size_t i = 0; i < rounded; ++i) {
-    fresh[i].words =
-        std::make_unique<std::atomic<std::uint64_t>[]>(words_per);
-    for (std::size_t w = 0; w < words_per; ++w) {
-      fresh[i].words[w].store(0, std::memory_order_relaxed);
-    }
-  }
-  (void)slots.release();
-  slots = std::move(fresh);
-  mask = rounded - 1;
-  capacity = rounded;
-  head.store(0, std::memory_order_relaxed);
-}
-
-template <typename T>
-void FlightRecorder::Ring<T>::push(const T& item) {
-  if (capacity == 0) return;
-  const std::uint64_t ticket = head.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots[ticket & mask];
-  slot.seq.store(2 * ticket + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-
-  std::uint64_t staged[kMaxPayloadWords] = {};
-  std::memcpy(staged, &item, sizeof(T));
-  for (std::size_t w = 0; w < words_per; ++w) {
-    slot.words[w].store(staged[w], std::memory_order_relaxed);
-  }
-  // The checksum is bound to the publish sequence so a slot whose payload
-  // mixes two lapped writers can never validate against either ticket.
-  slot.check.store(fnv1a(staged, words_per) ^ (2 * ticket + 2),
-                   std::memory_order_relaxed);
-  slot.seq.store(2 * ticket + 2, std::memory_order_release);
-}
-
-template <typename T>
-std::vector<T> FlightRecorder::Ring<T>::drain() const {
-  std::vector<T> out;
-  if (capacity == 0) return out;
-  const std::uint64_t end = head.load(std::memory_order_acquire);
-  const std::uint64_t count =
-      end < capacity ? end : static_cast<std::uint64_t>(capacity);
-  out.reserve(count);
-  for (std::uint64_t ticket = end - count; ticket < end; ++ticket) {
-    const Slot& slot = slots[ticket & mask];
-    if (slot.seq.load(std::memory_order_acquire) != 2 * ticket + 2) continue;
-    std::uint64_t staged[kMaxPayloadWords] = {};
-    for (std::size_t w = 0; w < words_per; ++w) {
-      staged[w] = slot.words[w].load(std::memory_order_relaxed);
-    }
-    const std::uint64_t check = slot.check.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != 2 * ticket + 2) continue;
-    if (check != (fnv1a(staged, words_per) ^ (2 * ticket + 2))) continue;
-    T item;
-    std::memcpy(&item, staged, sizeof(T));
-    out.push_back(item);
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // FlightRecorder.
 
 FlightRecorder& FlightRecorder::instance() {
@@ -319,27 +241,14 @@ FlightRecorder& FlightRecorder::instance() {
 }
 
 void FlightRecorder::configure(std::size_t capacity) {
-  if (capacity != 0 && round_up_pow2(capacity) == capacity_) return;
-  records_.configure(capacity);
+  if (capacity != 0 && std::bit_ceil(capacity) == records_.capacity()) return;
+  records_.allocate(capacity);
   // Notes are rarer than requests; a quarter of the ring is plenty.
-  notes_.configure(capacity == 0 ? 0 : (capacity + 3) / 4);
-  capacity_ = capacity == 0 ? 0 : round_up_pow2(capacity);
-  mask_ = capacity_ == 0 ? 0 : capacity_ - 1;
+  notes_.allocate(capacity == 0 ? 0 : (capacity + 3) / 4);
 }
-
-std::uint64_t FlightRecorder::recorded() const {
-  return records_.head.load(std::memory_order_relaxed);
-}
-
-std::uint64_t FlightRecorder::overwritten() const {
-  const std::uint64_t total = recorded();
-  return total > capacity_ ? total - capacity_ : 0;
-}
-
-void FlightRecorder::record(const FlightRecord& rec) { records_.push(rec); }
 
 void FlightRecorder::note(const char* kind, std::int64_t value) {
-  if (notes_.capacity == 0) return;
+  if (notes_.capacity() == 0) return;
   FlightNote n;
   n.wall_ms = wall_now_ms();
   n.value = value;
@@ -348,108 +257,44 @@ void FlightRecorder::note(const char* kind, std::int64_t value) {
 }
 
 std::vector<FlightRecord> FlightRecorder::snapshot_records() const {
-  return records_.drain();
+  return collect<FlightRecord>(records_);
 }
 
 std::vector<FlightNote> FlightRecorder::snapshot_notes() const {
-  return notes_.drain();
+  return collect<FlightNote>(notes_);
 }
 
 std::string FlightRecorder::records_to_json() const {
-  std::string out = "[";
-  char line[kLineCap];
-  bool first = true;
-  for (const FlightRecord& rec : snapshot_records()) {
-    if (!first) out += ',';
-    first = false;
-    out.append(line, format_record_line(line, sizeof(line), rec));
-  }
-  out += ']';
-  return out;
+  return to_json_array(records_);
 }
 
 std::string FlightRecorder::notes_to_json() const {
-  std::string out = "[";
-  char line[kLineCap];
-  bool first = true;
-  for (const FlightNote& n : snapshot_notes()) {
-    if (!first) out += ',';
-    first = false;
-    out.append(line, format_note_line(line, sizeof(line), n));
-  }
-  out += ']';
-  return out;
+  return to_json_array(notes_);
 }
 
 std::int64_t FlightRecorder::dump_to_fd(int fd, int signal_number) const {
   std::int64_t total = 0;
   char line[kLineCap];
-  {
-    LineBuf out{line, sizeof(line)};
-    out.puts("{\"type\":\"postmortem\",\"signal\":");
-    out.put_int(signal_number);
-    out.puts(",\"recorded\":");
-    out.put_int(static_cast<std::int64_t>(recorded()));
-    out.puts(",\"overwritten\":");
-    out.put_int(static_cast<std::int64_t>(overwritten()));
-    out.puts(",\"capacity\":");
-    out.put_int(static_cast<std::int64_t>(capacity_));
-    out.puts("}\n");
-    if (!write_all(fd, line, out.len, &total)) return -1;
-  }
-  // Drain inline with stack staging only — snapshot_records() allocates and
-  // must not be used here.
-  if (records_.capacity != 0) {
-    const std::uint64_t end = records_.head.load(std::memory_order_acquire);
-    const std::uint64_t count =
-        end < records_.capacity
-            ? end
-            : static_cast<std::uint64_t>(records_.capacity);
-    for (std::uint64_t ticket = end - count; ticket < end; ++ticket) {
-      const Slot& slot = records_.slots[ticket & records_.mask];
-      if (slot.seq.load(std::memory_order_acquire) != 2 * ticket + 2) continue;
-      std::uint64_t staged[kMaxPayloadWords] = {};
-      for (std::size_t w = 0; w < records_.words_per; ++w) {
-        staged[w] = slot.words[w].load(std::memory_order_relaxed);
-      }
-      const std::uint64_t check = slot.check.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (slot.seq.load(std::memory_order_relaxed) != 2 * ticket + 2) continue;
-      if (check != (fnv1a(staged, records_.words_per) ^ (2 * ticket + 2))) {
-        continue;
-      }
-      FlightRecord rec;
-      std::memcpy(&rec, staged, sizeof(rec));
-      std::size_t n = format_record_line(line, sizeof(line) - 1, rec);
-      line[n++] = '\n';
-      if (!write_all(fd, line, n, &total)) return -1;
-    }
-  }
-  if (notes_.capacity != 0) {
-    const std::uint64_t end = notes_.head.load(std::memory_order_acquire);
-    const std::uint64_t count =
-        end < notes_.capacity ? end
-                              : static_cast<std::uint64_t>(notes_.capacity);
-    for (std::uint64_t ticket = end - count; ticket < end; ++ticket) {
-      const Slot& slot = notes_.slots[ticket & notes_.mask];
-      if (slot.seq.load(std::memory_order_acquire) != 2 * ticket + 2) continue;
-      std::uint64_t staged[kMaxPayloadWords] = {};
-      for (std::size_t w = 0; w < notes_.words_per; ++w) {
-        staged[w] = slot.words[w].load(std::memory_order_relaxed);
-      }
-      const std::uint64_t check = slot.check.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (slot.seq.load(std::memory_order_relaxed) != 2 * ticket + 2) continue;
-      if (check != (fnv1a(staged, notes_.words_per) ^ (2 * ticket + 2))) {
-        continue;
-      }
-      FlightNote note;
-      std::memcpy(&note, staged, sizeof(note));
-      std::size_t n = format_note_line(line, sizeof(line) - 1, note);
-      line[n++] = '\n';
-      if (!write_all(fd, line, n, &total)) return -1;
-    }
-  }
+  LineBuf header{line, sizeof(line)};
+  header.puts("{\"type\":\"postmortem\",\"signal\":");
+  header.put_int(signal_number);
+  header.puts(",\"recorded\":");
+  header.put_int(static_cast<std::int64_t>(recorded()));
+  header.puts(",\"overwritten\":");
+  header.put_int(static_cast<std::int64_t>(overwritten()));
+  header.puts(",\"capacity\":");
+  header.put_int(static_cast<std::int64_t>(capacity()));
+  header.puts("}\n");
+  if (!write_all(fd, line, header.len, &total)) return -1;
+  // The rings' own allocation-free reader; the line buffer keeps one byte
+  // free for the newline.
+  const auto write_line = [&](std::uint64_t, const auto& item) {
+    std::size_t n = format_line(line, sizeof(line) - 1, item);
+    line[n++] = '\n';
+    return write_all(fd, line, n, &total);
+  };
+  if (!records_.for_each(write_line) || !notes_.for_each(write_line))
+    return -1;
   return total;
 }
 

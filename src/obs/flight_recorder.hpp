@@ -1,13 +1,12 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "obs/ring.hpp"
 #include "obs/trace_context.hpp"
 
 /// \file flight_recorder.hpp
@@ -21,18 +20,11 @@
 /// handlers to an NDJSON post-mortem file using only async-signal-safe
 /// calls).
 ///
-/// Concurrency design: each ring slot is a seqlock — an atomic sequence
-/// word that is odd while a writer owns the slot, plus the payload stored
-/// as relaxed atomic 64-bit words so concurrent read/write of a lapped slot
-/// is race-free (TSan-clean) rather than undefined.  Writers claim tickets
-/// with a fetch_add and never block; readers discard slots whose sequence
-/// does not match the expected ticket or whose payload checksum fails
-/// (a writer lapped them mid-copy).  The ring never allocates after
-/// configure(), so record() is safe on any thread and dump_to_fd() is safe
-/// inside a signal handler.
-///
-/// Like the rolling latency histograms, this is always-on serving
-/// telemetry: it does not compile out under NETPART_OBS=OFF.
+/// Both rings are the obs layer's seqlock ring (ring.hpp) with the
+/// overwrite policy: writers claim tickets with a fetch_add and never block,
+/// and readers discard slots caught mid-write instead of surfacing them.
+/// The rings never allocate after configure(), so record() is safe on any
+/// thread and dump_to_fd() is safe inside a signal handler.
 
 namespace netpart::obs {
 
@@ -91,14 +83,14 @@ class FlightRecorder {
   /// between fixtures, which is fine because the old server has drained).
   void configure(std::size_t capacity);
 
-  [[nodiscard]] bool enabled() const { return capacity_ != 0; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  [[nodiscard]] bool enabled() const { return records_.capacity() != 0; }
+  [[nodiscard]] std::size_t capacity() const { return records_.capacity(); }
 
   /// Total records ever written; min(recorded, capacity) survive.
-  [[nodiscard]] std::uint64_t recorded() const;
-  [[nodiscard]] std::uint64_t overwritten() const;
+  [[nodiscard]] std::uint64_t recorded() const { return records_.pushed(); }
+  [[nodiscard]] std::uint64_t overwritten() const { return records_.lost(); }
 
-  void record(const FlightRecord& rec);
+  void record(const FlightRecord& rec) { records_.push(rec); }
   void note(const char* kind, std::int64_t value);
 
   /// Oldest-first consistent copies of the surviving slots.  Slots caught
@@ -129,32 +121,8 @@ class FlightRecorder {
  private:
   FlightRecorder() = default;
 
-  // One slot: seq (odd while a writer owns it, 2*ticket+2 once published),
-  // payload words (relaxed atomics), and an FNV-1a checksum over the words
-  // that detects two lapped writers interleaving in the same slot.
-  struct Slot {
-    std::atomic<std::uint64_t> seq{0};
-    std::atomic<std::uint64_t> check{0};
-    std::unique_ptr<std::atomic<std::uint64_t>[]> words;
-  };
-
-  template <typename T>
-  struct Ring {
-    std::atomic<std::uint64_t> head{0};
-    std::unique_ptr<Slot[]> slots;
-    std::size_t mask = 0;       // capacity - 1, 0 when disabled
-    std::size_t capacity = 0;   // 0 = disabled
-    std::size_t words_per = 0;  // payload words per slot
-
-    void configure(std::size_t cap);
-    void push(const T& item);
-    std::vector<T> drain() const;
-  };
-
-  Ring<FlightRecord> records_;
-  Ring<FlightNote> notes_;
-  std::size_t capacity_ = 0;
-  std::size_t mask_ = 0;
+  SeqlockRing<FlightRecord, RingPolicy::kOverwrite> records_;
+  SeqlockRing<FlightNote, RingPolicy::kOverwrite> notes_;
 };
 
 }  // namespace netpart::obs

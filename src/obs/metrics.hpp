@@ -20,8 +20,7 @@
 ///
 /// Design constraints (see docs/OBSERVABILITY.md):
 ///  - Near-zero cost when off.  Instrumentation sites use the NETPART_*
-///    macros below; with -DNETPART_OBS=OFF they expand to nothing, and even
-///    when compiled in they are gated on a single relaxed-atomic bool so a
+///    macros below, each gated on a single relaxed-atomic bool, so a
 ///    disabled registry costs one predictable branch per site.
 ///  - Counters, gauges and histograms are thread-safe (the FM multi-start
 ///    engine records from worker threads).  Spans model the orchestrating
@@ -250,23 +249,16 @@ void export_to_env_file(std::string_view label);
 // ---------------------------------------------------------------------------
 // Instrumentation macros.  These are the only interface production code
 // should use to *record*; reading/controlling the registry (CLI, benches,
-// tests) goes through MetricsRegistry directly.  With NETPART_OBS_ENABLED=0
-// every macro expands to nothing and its arguments are not evaluated.
+// tests) goes through MetricsRegistry directly.  Each one is gated on the
+// registry's relaxed-atomic enabled flag.
 // ---------------------------------------------------------------------------
 
-#ifndef NETPART_OBS_ENABLED
-#define NETPART_OBS_ENABLED 1
-#endif
-
-#if NETPART_OBS_ENABLED
-
-#define NETPART_OBS_CONCAT_IMPL(a, b) a##b
-#define NETPART_OBS_CONCAT(a, b) NETPART_OBS_CONCAT_IMPL(a, b)
+#define NETPART_CONCAT_IMPL(a, b) a##b
+#define NETPART_CONCAT(a, b) NETPART_CONCAT_IMPL(a, b)
 
 /// Time the enclosing scope as a span named `name`.
-#define NETPART_SPAN(name)                                      \
-  ::netpart::obs::ScopedSpan NETPART_OBS_CONCAT(netpart_span_,  \
-                                                __LINE__)(name)
+#define NETPART_SPAN(name) \
+  ::netpart::obs::ScopedSpan NETPART_CONCAT(netpart_span_, __LINE__)(name)
 
 #define NETPART_COUNTER_ADD(name, delta)                                   \
   do {                                                                     \
@@ -295,21 +287,3 @@ void export_to_env_file(std::string_view label);
     if (netpart_obs_reg_.enabled())                                        \
       netpart_obs_reg_.record_rolling((name), (value));                    \
   } while (0)
-
-#else  // NETPART_OBS_ENABLED == 0: everything compiles away.
-
-#define NETPART_SPAN(name)
-#define NETPART_COUNTER_ADD(name, delta) \
-  do {                                   \
-  } while (0)
-#define NETPART_GAUGE_SET(name, value) \
-  do {                                 \
-  } while (0)
-#define NETPART_HISTOGRAM_RECORD(name, value) \
-  do {                                        \
-  } while (0)
-#define NETPART_ROLLING_RECORD(name, value) \
-  do {                                      \
-  } while (0)
-
-#endif  // NETPART_OBS_ENABLED

@@ -1,22 +1,18 @@
 #include "obs/profiler.hpp"
 
+#include <sys/time.h>
+
 #include <algorithm>
+#include <csignal>
+#include <cstring>
 #include <map>
 
 #include "obs/metrics.hpp"
 
-#if NETPART_OBS_ENABLED
-#include <csignal>
-#include <cstring>
-#include <sys/time.h>
-#endif
-
 namespace netpart::obs {
 
 // ---------------------------------------------------------------------------
-// ProfileSnapshot exports — compiled in both configurations so callers can
-// hold and serialize snapshots without conditionals (they are simply empty
-// in -DNETPART_OBS=OFF builds).
+// ProfileSnapshot exports
 // ---------------------------------------------------------------------------
 
 std::string ProfileSnapshot::to_folded() const {
@@ -59,8 +55,6 @@ std::string ProfileSnapshot::to_json() const {
   out += "}}";
   return out;
 }
-
-#if NETPART_OBS_ENABLED
 
 namespace {
 
@@ -354,7 +348,5 @@ void Profiler::pop_frame() {
   state->depth.store(depth - 1, std::memory_order_relaxed);
   state->seq.fetch_add(1, std::memory_order_release);
 }
-
-#endif  // NETPART_OBS_ENABLED
 
 }  // namespace netpart::obs

@@ -26,13 +26,6 @@
 ///    folds paths into a preallocated open-addressed hash table with atomic
 ///    slots.  Samples that cannot be placed (torn read, table full) are
 ///    counted, never silently lost.
-///
-/// With -DNETPART_OBS=OFF the class collapses to inline no-ops so callers
-/// (CLI, server, tools) need no conditional compilation.
-
-#ifndef NETPART_OBS_ENABLED
-#define NETPART_OBS_ENABLED 1
-#endif
 
 namespace netpart::obs {
 
@@ -62,8 +55,6 @@ struct ProfileSnapshot {
   /// JSON object for the `"profile"` section of a metrics snapshot.
   [[nodiscard]] std::string to_json() const;
 };
-
-#if NETPART_OBS_ENABLED
 
 /// Process-wide sampling profiler.  Lifecycle: start() arms the span-stack
 /// hooks (and the ITIMER_PROF timer unless interval_us == 0), stop()
@@ -114,25 +105,5 @@ class Profiler {
   std::int64_t interval_us_ = 0;
   bool timer_armed_ = false;
 };
-
-#else  // NETPART_OBS_ENABLED == 0: inline no-op stubs.
-
-class Profiler {
- public:
-  static Profiler& instance() {
-    static Profiler profiler;
-    return profiler;
-  }
-  bool start(std::int64_t = 1000) { return true; }
-  void stop() {}
-  [[nodiscard]] bool running() const { return false; }
-  void sample_now() {}
-  [[nodiscard]] ProfileSnapshot snapshot() const { return {}; }
-  [[nodiscard]] static bool frames_armed() { return false; }
-  static void push_frame(std::string_view) {}
-  static void pop_frame() {}
-};
-
-#endif  // NETPART_OBS_ENABLED
 
 }  // namespace netpart::obs

@@ -14,9 +14,10 @@
 /// p50/p90/p99 over a sliding window without storing samples.
 ///
 /// Not internally synchronized: the MetricsRegistry guards its rolling
-/// histograms with its own mutex, and the server keeps per-op instances on
-/// the single executor thread.  Callers pass their own clock (milliseconds,
-/// any monotonic origin) so tests can drive rotation deterministically.
+/// histograms with its own mutex, and the server guards its per-op,
+/// per-class and per-lane instances with its telemetry mutex (every lane
+/// records into them).  Callers pass their own clock (milliseconds, any
+/// monotonic origin) so tests can drive rotation deterministically.
 
 namespace netpart::obs {
 

@@ -20,8 +20,10 @@
 /// next `repartition()` cheap:
 ///  - the incrementally maintained intersection graph (delta row rebuilds);
 ///  - the previous run's Fiedler vector, fed back as the Lanczos warm
-///    start (a converged eigenvector of a slightly perturbed Laplacian
-///    typically re-converges in 1-3 iterations instead of hundreds);
+///    start.  It trims iterations rather than skipping them: bench/
+///    repartition on a 4-CPU host measured a median of 224 warm
+///    iterations against 304 cold at 12k modules, and 110 against 144 at
+///    1 200 modules;
 ///  - the previous net ordering and winning split rank, used to restrict
 ///    the IG-Match sweep to the *perturbed region* — ranks where the
 ///    ordering actually moved, ranks of nets whose IG rows changed, and a
@@ -41,8 +43,8 @@ struct RepartitionOptions {
   IgWeighting weighting = IgWeighting::kPaper;
   /// Lanczos settings for cold runs (warm runs override check_interval).
   linalg::LanczosOptions lanczos;
-  /// Ritz check cadence for warm-started runs; 1 detects the typical
-  /// immediate re-convergence without burning extra iterations.
+  /// Ritz check cadence for warm-started runs; 1 stops a warm run at the
+  /// first iteration that converges.
   std::int32_t warm_check_interval = 1;
   /// Dilation radius (in ranks) of the perturbed-region sweep mask.
   std::int32_t sweep_window = 48;

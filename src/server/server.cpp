@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -88,6 +89,11 @@ std::string latency_json(const obs::HistogramEntry& h,
   return out;
 }
 
+/// Wire name of admission class `i` (runtime::RequestClass order).
+const char* class_label(std::size_t i) {
+  return runtime::class_name(static_cast<runtime::RequestClass>(i));
+}
+
 /// Class occupancy bounds from the options: explicit values win, zeros
 /// derive from queue_capacity so one flag scales the whole admission
 /// surface.  hit_pending *is* queue_capacity — at 1 lane with admission on,
@@ -104,15 +110,52 @@ runtime::AdmissionLimits derive_limits(const ServerOptions& o) {
   return l;
 }
 
-/// Echo the caller's trace_id on a finished response line (error paths
-/// included) by reopening the top-level object.  No-op when the request
-/// carried no trace context.
-void splice_trace_id(std::string& response, const std::string& trace_id) {
-  if (trace_id.empty() || response.empty() || response.back() != '}') return;
+/// Reopen a finished response object and append `"key":<json>`.
+void append_member(std::string& response, std::string_view key,
+                   std::string_view json) {
   response.pop_back();
-  response += ",\"trace_id\":\"";
-  response += trace_id;
-  response += "\"}";
+  response += ",\"";
+  response += key;
+  response += "\":";
+  response += json;
+  response += '}';
+}
+
+/// Echo the caller's trace_id on a finished response line (error paths
+/// included).  No-op when the request carried no trace context.
+void splice_trace_id(std::string& response, const std::string& trace_id) {
+  if (trace_id.empty()) return;
+  append_member(response, "trace_id", '"' + trace_id + '"');
+}
+
+/// A handler's structured failure; dispatch() turns it into an error
+/// response with this code.
+struct RequestError : std::runtime_error {
+  RequestError(const char* error_code, const std::string& message)
+      : std::runtime_error(message), code(error_code) {}
+  const char* code;
+};
+
+/// One stage of a request as every output renders it: wire name, offset
+/// from the frame read, and duration, in whole microseconds.
+struct StageSpan {
+  const char* name;
+  std::int64_t begin_us;
+  std::int64_t us;
+};
+
+/// The one walk of a request's StageClock.  The envelope's `stages_us`,
+/// the access log's `*_us` fields, the flight record and the Chrome overlay
+/// all render from it.
+std::array<StageSpan, obs::kNumStages> stage_spans(
+    const obs::StageClock& clock) {
+  std::array<StageSpan, obs::kNumStages> out{};
+  for (std::size_t i = 0; i < obs::kNumStages; ++i) {
+    const auto s = static_cast<obs::Stage>(i);
+    out[i] = {obs::stage_name(s), clock.begin_offset_us(s),
+              clock.duration_us(s)};
+  }
+  return out;
 }
 
 /// Structured shed response: the legacy `overloaded` error plus top-level
@@ -260,7 +303,6 @@ bool Server::start(std::string& error) {
     // worker fan-out: the pool supports one top-level caller, and inline
     // execution is bit-identical anyway (fixed-chunk contract).
     if (lanes > 1) parallel::ThreadPool::mark_inline();
-#if NETPART_OBS_ENABLED
     if (enable_obs && lane == 0) {
       auto& reg = obs::MetricsRegistry::instance();
       reg.set_enabled(true);
@@ -269,11 +311,6 @@ bool Server::start(std::string& error) {
       reg.configure_rolling(window_ms, 6);
       reg.set_rolling_spans(true);
     }
-#else
-    (void)enable_obs;
-    (void)window_ms;
-    (void)lane;
-#endif
   });
   started_ = true;
   return true;
@@ -416,7 +453,8 @@ void Server::handle_readable(const std::shared_ptr<Conn>& conn) {
     NETPART_COUNTER_ADD("server.rejected_oversized", 1);
     write_response(conn,
                    error_response(-1, "frame_too_large",
-                                  "request line exceeds max_frame_bytes"));
+                                  "request line exceeds max_frame_bytes"),
+                   /*ok=*/false);
     conn->closed.store(true, std::memory_order_relaxed);
   };
 
@@ -454,7 +492,7 @@ void Server::process_line(const std::shared_ptr<Conn>& conn,
     NETPART_COUNTER_ADD("server.parse_errors", 1);
     std::string response = error_response(req.id, code, error);
     splice_trace_id(response, req.trace_id);
-    write_response(conn, std::move(response));
+    write_response(conn, std::move(response), /*ok=*/false);
   };
   switch (parse_request(line, req, error)) {
     case ParseResult::kOk:
@@ -513,7 +551,7 @@ void Server::enqueue(const std::shared_ptr<Conn>& conn, Request req,
     std::string response =
         error_response(req.id, "shutting_down", "server is draining");
     splice_trace_id(response, req.trace_id);
-    write_response(conn, std::move(response));
+    write_response(conn, std::move(response), /*ok=*/false);
     return;
   }
   auto item = std::make_shared<QueueItem>();
@@ -537,46 +575,32 @@ void Server::enqueue(const std::shared_ptr<Conn>& conn, Request req,
   // Classify unconditionally: even with --no-admission the class labels
   // the access log and the per-class latency windows.
   item->cls = classify(item->req);
-  if (options_.admission_control) {
-    if (!admission_.try_admit(item->cls)) {
-      rejected_overload_.fetch_add(1, std::memory_order_relaxed);
-      NETPART_COUNTER_ADD("server.rejected_overload", 1);
-      switch (item->cls) {
-        case runtime::RequestClass::kCold:
-          NETPART_COUNTER_ADD("server.shed_cold", 1);
-          break;
-        case runtime::RequestClass::kWarm:
-          NETPART_COUNTER_ADD("server.shed_warm", 1);
-          break;
-        default:
-          break;
-      }
-      item->clock.mark(obs::Stage::kAdmission);
-      obs::FlightRecorder::instance().record(
-          flight_record(*item, obs::FlightOutcome::kShed));
-      std::string response =
-          overloaded_response(item->req.id, item->cls,
-                              admission_.retry_after_ms(item->cls));
-      splice_trace_id(response, item->req.trace_id);
-      write_response(item->conn, std::move(response));
-      return;
-    }
-  } else if (pool_.total_depth() >=
-             static_cast<std::int64_t>(options_.queue_capacity)) {
-    // Legacy single-bound backpressure: every class shares one queue cap.
+  const bool shed =
+      options_.admission_control
+          ? !admission_.try_admit(item->cls)
+          : pool_.total_depth() >=
+                static_cast<std::int64_t>(options_.queue_capacity);
+  item->clock.mark(obs::Stage::kAdmission);
+  if (shed) {
     rejected_overload_.fetch_add(1, std::memory_order_relaxed);
     NETPART_COUNTER_ADD("server.rejected_overload", 1);
-    item->clock.mark(obs::Stage::kAdmission);
-    obs::FlightRecorder::instance().record(
-        flight_record(*item, obs::FlightOutcome::kShed));
-    std::string response =
-        error_response(item->req.id, "overloaded",
-                       "request queue is full; retry later");
-    splice_trace_id(response, item->req.trace_id);
-    write_response(item->conn, std::move(response));
+    std::string response;
+    if (options_.admission_control) {
+      if (item->cls == runtime::RequestClass::kCold)
+        NETPART_COUNTER_ADD("server.shed_cold", 1);
+      if (item->cls == runtime::RequestClass::kWarm)
+        NETPART_COUNTER_ADD("server.shed_warm", 1);
+      response = overloaded_response(item->req.id, item->cls,
+                                     admission_.retry_after_ms(item->cls));
+    } else {
+      // Legacy single-bound backpressure: every class shares one queue cap.
+      response = error_response(item->req.id, "overloaded",
+                                "request queue is full; retry later");
+    }
+    item->outcome = obs::FlightOutcome::kShed;
+    finish(*item, std::move(response));
     return;
   }
-  item->clock.mark(obs::Stage::kAdmission);
 
   const std::size_t lane = runtime::ExecutorPool::lane_for_session(
       item->req.session, pool_.lanes());
@@ -587,45 +611,39 @@ void Server::enqueue(const std::shared_ptr<Conn>& conn, Request req,
 }
 
 void Server::handle_item(QueueItem& item) {
-  const std::int64_t begin_ms = steady_now_ms();
+  item.begin_ms = steady_now_ms();
   item.clock.mark(obs::Stage::kQueue);
   const bool admitted = options_.admission_control;
   if (admitted) admission_.on_start(item.cls);
-  const double queue_wait_ms = static_cast<double>(begin_ms - item.enqueue_ms);
+  const double queue_wait_ms =
+      static_cast<double>(item.begin_ms - item.enqueue_ms);
   NETPART_HISTOGRAM_RECORD("server.queue_wait_ms", queue_wait_ms);
   {
     // Per-class and per-lane queue-wait windows: the decomposition that
     // shows *where* admission backpressure lands, not just that it exists.
     const std::lock_guard<std::mutex> lock(telemetry_mutex_);
-    class_queue_wait_[static_cast<std::size_t>(item.cls)].record(queue_wait_ms,
-                                                                 begin_ms);
+    class_queue_wait_[static_cast<std::size_t>(item.cls)].record(
+        queue_wait_ms, item.begin_ms);
     const auto lane = static_cast<std::size_t>(item.lane);
     if (lane < lane_queue_wait_.size())
-      lane_queue_wait_[lane].record(queue_wait_ms, begin_ms);
+      lane_queue_wait_[lane].record(queue_wait_ms, item.begin_ms);
     if (item.trace.valid())
       offer_exemplar(class_queue_exemplar_[static_cast<std::size_t>(item.cls)],
                      queue_wait_ms, item.req.trace_id);
   }
-  if (item.deadline_ms > 0 && begin_ms > item.deadline_ms) {
+  if (item.deadline_ms > 0 && item.begin_ms > item.deadline_ms) {
     rejected_deadline_.fetch_add(1, std::memory_order_relaxed);
     NETPART_COUNTER_ADD("server.rejected_deadline", 1);
-    std::string response = error_response(item.req.id, "deadline_exceeded",
-                                          "request expired while queued");
-    splice_trace_id(response, item.req.trace_id);
-    const auto bytes_out = static_cast<std::int64_t>(response.size());
-    write_response(item.conn, std::move(response));
-    item.clock.mark(obs::Stage::kWrite);
-    obs::FlightRecorder::instance().record(
-        flight_record(item, obs::FlightOutcome::kDeadline));
     if (admitted) admission_.on_finish(item.cls, 0.0);
-    observe_request(item, begin_ms, begin_ms, /*ok=*/false,
-                    /*cache_hit=*/false, bytes_out, "deadline_exceeded");
+    item.end_ms = item.begin_ms;
+    item.outcome = obs::FlightOutcome::kDeadline;
+    finish(item, error_response(item.req.id, "deadline_exceeded",
+                                "request expired while queued"));
     return;
   }
   // The in-flight marker: if the process dies inside dispatch, the
   // post-mortem's newest record for this trace still says "running".
-  obs::FlightRecorder::instance().record(
-      flight_record(item, obs::FlightOutcome::kRunning));
+  obs::FlightRecorder::instance().record(flight_record(item));
 
   // Per-request observation windows (trace/events) splice registry-wide
   // state into one response; that is only coherent when a single lane runs
@@ -635,27 +653,21 @@ void Server::handle_item(QueueItem& item) {
   const bool trace = item.req.trace && single_lane;
   // `events:true`: arm the convergence-event ring for this request only.
   // One lane runs requests strictly serially, so everything drained below
-  // was emitted by this request's compute.  (Under -DNETPART_OBS=OFF the
-  // ring is a stub and the spliced array is always empty.)
+  // was emitted by this request's compute.
   const bool events = item.req.events && single_lane;
   auto& event_ring = obs::EventRing::instance();
   if (events) event_ring.arm();
-#if NETPART_OBS_ENABLED
   auto& reg = obs::MetricsRegistry::instance();
   // A traced request gets a private observation window: reset, run,
   // snapshot.  This clears the registry's cumulative window (rolling phase
   // histograms included) — documented in docs/SERVER.md as the cost of
   // per-request traces.
   if (trace && reg.enabled()) reg.reset();
-#endif
 
-  bool cache_hit = false;
-  std::string response = dispatch(item.req, cache_hit);
+  std::string response = dispatch(item);
   item.clock.mark(obs::Stage::kExecute);
 
-#if NETPART_OBS_ENABLED
-  if (trace && reg.enabled() && !response.empty() &&
-      response.back() == '}') {
+  if (trace && reg.enabled()) {
     const obs::MetricsSnapshot snap = reg.snapshot();
     std::string trace_json;
     if (item.req.trace_format == "chrome") {
@@ -664,40 +676,27 @@ void Server::handle_item(QueueItem& item) {
       // keyed by the same trace_id as everything else.
       std::vector<obs::RequestStageEvent> stage_events;
       if (item.trace.valid()) {
-        for (const obs::Stage s :
-             {obs::Stage::kParse, obs::Stage::kAdmission, obs::Stage::kQueue,
-              obs::Stage::kExecute}) {
-          stage_events.push_back({obs::stage_name(s),
-                                  item.clock.begin_offset_us(s),
-                                  item.clock.duration_us(s)});
-        }
+        const auto stages = stage_spans(item.clock);
+        for (std::size_t i = 0;
+             i <= static_cast<std::size_t>(obs::Stage::kExecute); ++i)
+          stage_events.push_back(
+              {stages[i].name, stages[i].begin_us, stages[i].us});
       }
       trace_json = obs::to_chrome_trace(snap, "netpart", item.req.trace_id,
                                         stage_events);
     } else {
       trace_json = snap.to_json();
     }
-    response.pop_back();
-    response += ",\"trace\":";
-    response += trace_json;
-    response += '}';
+    append_member(response, "trace", trace_json);
   }
-#else
-  (void)trace;
-#endif
 
   if (events) {
     event_ring.disarm();
-    if (!response.empty() && response.back() == '}') {
-      response.pop_back();
-      response += ",\"events\":";
-      response += event_ring.drain_json_array();
-      response += ",\"events_recorded\":";
-      response += std::to_string(event_ring.recorded());
-      response += ",\"events_dropped\":";
-      response += std::to_string(event_ring.dropped());
-      response += '}';
-    }
+    append_member(response, "events", event_ring.drain_json_array());
+    append_member(response, "events_recorded",
+                  std::to_string(event_ring.recorded()));
+    append_member(response, "events_dropped",
+                  std::to_string(event_ring.dropped()));
   }
 
   // Serialize stage: the trace/events splices above plus the trace-context
@@ -705,7 +704,7 @@ void Server::handle_item(QueueItem& item) {
   // `write` completes after the line is on the wire and lands in the
   // access log and flight recorder only.
   item.clock.mark(obs::Stage::kSerialize);
-  if (item.trace.valid() && !response.empty() && response.back() == '}') {
+  if (item.trace.valid()) {
     response.pop_back();
     response += ",\"trace_id\":\"";
     response += item.req.trace_id;
@@ -718,20 +717,20 @@ void Server::handle_item(QueueItem& item) {
       response += '"';
     }
     response += ",\"stages_us\":{";
+    const auto stages = stage_spans(item.clock);
     for (std::size_t i = 0;
          i <= static_cast<std::size_t>(obs::Stage::kSerialize); ++i) {
       if (i != 0) response += ',';
       response += '"';
-      response += obs::stage_name(static_cast<obs::Stage>(i));
+      response += stages[i].name;
       response += "\":";
-      response += std::to_string(
-          item.clock.duration_us(static_cast<obs::Stage>(i)));
+      response += std::to_string(stages[i].us);
     }
     response += "}}";
   }
 
-  const std::int64_t end_ms = steady_now_ms();
-  const double exec_ms = static_cast<double>(end_ms - begin_ms);
+  item.end_ms = steady_now_ms();
+  const double exec_ms = static_cast<double>(item.end_ms - item.begin_ms);
   if (admitted) admission_.on_finish(item.cls, exec_ms);
   NETPART_HISTOGRAM_RECORD("server.handle_ms", exec_ms);
   NETPART_ROLLING_RECORD("server.request_ms", exec_ms);
@@ -740,29 +739,38 @@ void Server::handle_item(QueueItem& item) {
     op_latency_
         .try_emplace(item.req.op_name,
                      obs::RollingConfig{options_.latency_window_ms, 6})
-        .first->second.record(exec_ms, end_ms);
-    all_latency_.record(exec_ms, end_ms);
-    class_latency_[static_cast<std::size_t>(item.cls)].record(exec_ms, end_ms);
+        .first->second.record(exec_ms, item.end_ms);
+    all_latency_.record(exec_ms, item.end_ms);
+    class_latency_[static_cast<std::size_t>(item.cls)].record(exec_ms,
+                                                              item.end_ms);
     const auto lane = static_cast<std::size_t>(item.lane);
-    if (lane < lane_execute_.size()) lane_execute_[lane].record(exec_ms, end_ms);
+    if (lane < lane_execute_.size())
+      lane_execute_[lane].record(exec_ms, item.end_ms);
     if (item.trace.valid())
       offer_exemplar(class_latency_exemplar_[static_cast<std::size_t>(item.cls)],
                      exec_ms, item.req.trace_id);
   }
-  sample_process_gauges(end_ms);
+  sample_process_gauges(item.end_ms);
 
-  const bool ok = response.find("\"ok\":false") == std::string::npos;
-  const auto bytes_out = static_cast<std::int64_t>(response.size());
-  write_response(item.conn, std::move(response));
-  item.clock.mark(obs::Stage::kWrite);
-  obs::FlightRecorder::instance().record(flight_record(
-      item, ok ? obs::FlightOutcome::kOk : obs::FlightOutcome::kError));
-  observe_request(item, begin_ms, end_ms, ok, cache_hit, bytes_out,
-                  ok ? "ok" : "error");
+  item.outcome = item.ok ? obs::FlightOutcome::kOk : obs::FlightOutcome::kError;
+  finish(item, std::move(response));
 }
 
-obs::FlightRecord Server::flight_record(const QueueItem& item,
-                                        obs::FlightOutcome outcome) const {
+void Server::finish(QueueItem& item, std::string response) {
+  // Requests that never ran (sheds, deadline misses) echo only the
+  // trace_id; executed ones already carry the full envelope.
+  const bool executed = item.outcome == obs::FlightOutcome::kOk ||
+                        item.outcome == obs::FlightOutcome::kError;
+  if (!executed) splice_trace_id(response, item.req.trace_id);
+  item.bytes_out = static_cast<std::int64_t>(response.size());
+  write_response(item.conn, std::move(response), item.ok);
+  item.clock.mark(obs::Stage::kWrite);
+  obs::FlightRecorder::instance().record(flight_record(item));
+  // The access log has one line per request that reached a lane.
+  if (item.outcome != obs::FlightOutcome::kShed) log_request(item);
+}
+
+obs::FlightRecord Server::flight_record(const QueueItem& item) {
   obs::FlightRecord rec;
   rec.trace_hi = item.trace.trace_hi;
   rec.trace_lo = item.trace.trace_lo;
@@ -771,13 +779,12 @@ obs::FlightRecord Server::flight_record(const QueueItem& item,
   rec.wall_ms = wall_now_ms();
   rec.lane = item.lane;
   rec.cls = static_cast<std::uint8_t>(item.cls);
-  rec.outcome = static_cast<std::uint8_t>(outcome);
+  rec.outcome = static_cast<std::uint8_t>(item.outcome);
   rec.set_op(item.req.op_name.c_str());
+  const auto stages = stage_spans(item.clock);
   for (std::size_t i = 0; i < obs::kNumStages; ++i) {
-    const std::int64_t us =
-        item.clock.duration_us(static_cast<obs::Stage>(i));
-    rec.stage_us[i] = static_cast<std::int32_t>(
-        std::min<std::int64_t>(us, std::numeric_limits<std::int32_t>::max()));
+    rec.stage_us[i] = static_cast<std::int32_t>(std::min<std::int64_t>(
+        stages[i].us, std::numeric_limits<std::int32_t>::max()));
   }
   return rec;
 }
@@ -793,11 +800,8 @@ void Server::offer_exemplar(Exemplar& ex, double value,
   ex.trace_id = trace_id;
 }
 
-void Server::observe_request(const QueueItem& item, std::int64_t begin_ms,
-                             std::int64_t end_ms, bool ok, bool cache_hit,
-                             std::int64_t bytes_out,
-                             std::string_view outcome) {
-  const std::int64_t exec_ms = end_ms - begin_ms;
+void Server::log_request(const QueueItem& item) {
+  const std::int64_t exec_ms = item.end_ms - item.begin_ms;
   const bool slow = options_.slow_ms > 0 && exec_ms >= options_.slow_ms;
   if (!access_log_.is_open() && !slow) return;
 
@@ -810,23 +814,25 @@ void Server::observe_request(const QueueItem& item, std::int64_t begin_ms,
   line += ",\"session\":\"";
   line += obs::json_escape(item.req.session);
   line += "\",\"ok\":";
-  line += ok ? "true" : "false";
+  line += item.ok ? "true" : "false";
   line += ",\"outcome\":\"";
-  line += outcome;
+  line += item.outcome == obs::FlightOutcome::kDeadline ? "deadline_exceeded"
+          : item.ok                                      ? "ok"
+                                                         : "error";
   line += "\",\"class\":\"";
   line += runtime::class_name(item.cls);
   line += "\",\"bytes_in\":";
   line += std::to_string(item.wire_bytes);
   line += ",\"bytes_out\":";
-  line += std::to_string(bytes_out);
+  line += std::to_string(item.bytes_out);
   line += ",\"queue_ms\":";
-  line += std::to_string(begin_ms - item.enqueue_ms);
+  line += std::to_string(item.begin_ms - item.enqueue_ms);
   line += ",\"exec_ms\":";
   line += std::to_string(exec_ms);
   line += ",\"cache_hit\":";
-  line += cache_hit ? "true" : "false";
+  line += item.cache_hit ? "true" : "false";
   line += ",\"deadline_slack_ms\":";
-  line += item.deadline_ms > 0 ? std::to_string(item.deadline_ms - end_ms)
+  line += item.deadline_ms > 0 ? std::to_string(item.deadline_ms - item.end_ms)
                                : std::string("null");
   line += ",\"slow\":";
   line += slow ? "true" : "false";
@@ -845,12 +851,11 @@ void Server::observe_request(const QueueItem& item, std::int64_t begin_ms,
   }
   line += ",\"lane\":";
   line += std::to_string(item.lane);
-  for (std::size_t i = 0; i < obs::kNumStages; ++i) {
-    const auto s = static_cast<obs::Stage>(i);
+  for (const StageSpan& stage : stage_spans(item.clock)) {
     line += ",\"";
-    line += obs::stage_name(s);
+    line += stage.name;
     line += "_us\":";
-    line += std::to_string(item.clock.duration_us(s));
+    line += std::to_string(stage.us);
   }
   line += ",\"total_us\":";
   line += std::to_string(item.clock.total_us());
@@ -891,8 +896,12 @@ void Server::sample_process_gauges(std::int64_t now_ms) {
                     static_cast<double>(pool_.total_depth()));
 }
 
-std::string Server::dispatch(const Request& req, bool& cache_hit) {
+std::string Server::dispatch(QueueItem& item) {
+  const Request& req = item.req;
+  const char* code = "internal";
+  std::string message = "unhandled op";
   try {
+    item.ok = true;
     switch (req.op) {
       case Op::kPing:
         return do_ping(req);
@@ -900,7 +909,7 @@ std::string Server::dispatch(const Request& req, bool& cache_hit) {
         return do_load(req);
       case Op::kPartition:
       case Op::kRepartition:
-        return do_partition(req, cache_hit);
+        return do_partition(req, item.cache_hit);
       case Op::kEdit:
         return do_edit(req);
       case Op::kUnload:
@@ -920,16 +929,23 @@ std::string Server::dispatch(const Request& req, bool& cache_hit) {
       case Op::kShutdown:
         return do_shutdown(req);
     }
-    return error_response(req.id, "internal", "unhandled op");
+  } catch (const RequestError& e) {
+    code = e.code;
+    message = e.what();
   } catch (const io::ParseError& e) {
-    return error_response(req.id, "parse_error", e.what());
+    code = "parse_error";
+    message = e.what();
   } catch (const std::invalid_argument& e) {
-    return error_response(req.id, "bad_request", e.what());
+    code = "bad_request";
+    message = e.what();
   } catch (const std::out_of_range& e) {
-    return error_response(req.id, "bad_request", e.what());
+    code = "bad_request";
+    message = e.what();
   } catch (const std::exception& e) {
-    return error_response(req.id, "internal", e.what());
+    message = e.what();
   }
+  item.ok = false;
+  return error_response(req.id, code, message);
 }
 
 std::string Server::do_ping(const Request& req) {
@@ -976,8 +992,8 @@ std::string Server::do_partition(const Request& req, bool& cache_hit) {
   NETPART_SPAN("server.partition");
   const auto s = sessions_.find(req.session, steady_now_ms());
   if (!s) {
-    return error_response(req.id, "no_session",
-                          "unknown session '" + req.session + "'");
+    throw RequestError("no_session",
+                       "unknown session '" + req.session + "'");
   }
 
   // Idempotent repeat: the session already holds the answer for its
@@ -1047,8 +1063,8 @@ std::string Server::do_edit(const Request& req) {
   NETPART_SPAN("server.edit");
   const auto s = sessions_.find(req.session, steady_now_ms());
   if (!s) {
-    return error_response(req.id, "no_session",
-                          "unknown session '" + req.session + "'");
+    throw RequestError("no_session",
+                       "unknown session '" + req.session + "'");
   }
   std::istringstream in(req.script);
   const repart::EditScript script = repart::read_edit_script(in);
@@ -1143,11 +1159,9 @@ std::string Server::do_metrics(const Request& req) {
       .add_int("queue_depth", st.queue_depth)
       .add_int("queue_capacity",
                static_cast<std::int64_t>(options_.queue_capacity));
-#if NETPART_OBS_ENABLED
   if (obs::MetricsRegistry::instance().enabled()) {
     rb.add_raw("obs", obs::MetricsRegistry::instance().snapshot().to_json());
   }
-#endif
   return std::move(rb).finish();
 }
 
@@ -1190,9 +1204,9 @@ std::string Server::do_stats(const Request& req) {
   };
 
   if (req.format == "prometheus") {
-    // Synthesize a snapshot of the always-live server telemetry; obs
-    // compiles out, this does not.  Entries are appended in sorted order —
-    // to_prometheus keeps snapshot order, so the exposition is stable.
+    // Synthesize a snapshot of the server's own telemetry.  Entries are
+    // appended in sorted order — to_prometheus keeps snapshot order, so the
+    // exposition is stable.
     obs::MetricsSnapshot synth;
     const auto counter = [&synth](const std::string& name, std::int64_t v) {
       synth.counters.push_back({name, v});
@@ -1229,55 +1243,36 @@ std::string Server::do_stats(const Request& req) {
     gauge("rss_bytes", static_cast<double>(st.rss_bytes));
     gauge("sessions_live", static_cast<double>(st.sessions_live));
     gauge("uptime_seconds", static_cast<double>(st.uptime_ms) / 1000.0);
+    const auto rolling = [&synth, now](std::string name,
+                                       const obs::RollingHistogram& hist,
+                                       const Exemplar* ex) {
+      obs::RollingEntry entry;
+      entry.name = std::move(name);
+      entry.window_ms = hist.window_ms();
+      entry.window = hist.merged(now);
+      if (ex != nullptr && ex->value >= 0) {
+        entry.exemplar_trace_id = ex->trace_id;
+        entry.exemplar_value = ex->value;
+        entry.exemplar_ts_ms = ex->ts_ms;
+      }
+      synth.rolling.push_back(std::move(entry));
+    };
     {
       const std::lock_guard<std::mutex> lock(telemetry_mutex_);
-      for (std::size_t i = 0; i < class_latency_.size(); ++i) {
-        obs::RollingEntry entry;
-        entry.name = std::string("class_latency_ms.") +
-                     runtime::class_name(static_cast<runtime::RequestClass>(i));
-        entry.window_ms = class_latency_[i].window_ms();
-        entry.window = class_latency_[i].merged(now);
-        if (class_latency_exemplar_[i].value >= 0) {
-          entry.exemplar_trace_id = class_latency_exemplar_[i].trace_id;
-          entry.exemplar_value = class_latency_exemplar_[i].value;
-          entry.exemplar_ts_ms = class_latency_exemplar_[i].ts_ms;
-        }
-        synth.rolling.push_back(std::move(entry));
-      }
-      for (std::size_t i = 0; i < class_queue_wait_.size(); ++i) {
-        obs::RollingEntry entry;
-        entry.name = std::string("class_queue_wait_ms.") +
-                     runtime::class_name(static_cast<runtime::RequestClass>(i));
-        entry.window_ms = class_queue_wait_[i].window_ms();
-        entry.window = class_queue_wait_[i].merged(now);
-        if (class_queue_exemplar_[i].value >= 0) {
-          entry.exemplar_trace_id = class_queue_exemplar_[i].trace_id;
-          entry.exemplar_value = class_queue_exemplar_[i].value;
-          entry.exemplar_ts_ms = class_queue_exemplar_[i].ts_ms;
-        }
-        synth.rolling.push_back(std::move(entry));
-      }
-      for (std::size_t i = 0; i < lane_execute_.size(); ++i) {
-        obs::RollingEntry entry;
-        entry.name = "lane_execute_ms." + std::to_string(i);
-        entry.window_ms = lane_execute_[i].window_ms();
-        entry.window = lane_execute_[i].merged(now);
-        synth.rolling.push_back(std::move(entry));
-      }
-      for (std::size_t i = 0; i < lane_queue_wait_.size(); ++i) {
-        obs::RollingEntry entry;
-        entry.name = "lane_queue_wait_ms." + std::to_string(i);
-        entry.window_ms = lane_queue_wait_[i].window_ms();
-        entry.window = lane_queue_wait_[i].merged(now);
-        synth.rolling.push_back(std::move(entry));
-      }
-      for (const auto& [op_name, hist] : op_latency_) {
-        obs::RollingEntry entry;
-        entry.name = "op_latency_ms." + op_name;
-        entry.window_ms = hist.window_ms();
-        entry.window = hist.merged(now);
-        synth.rolling.push_back(std::move(entry));
-      }
+      for (std::size_t i = 0; i < class_latency_.size(); ++i)
+        rolling(std::string("class_latency_ms.") + class_label(i),
+                class_latency_[i], &class_latency_exemplar_[i]);
+      for (std::size_t i = 0; i < class_queue_wait_.size(); ++i)
+        rolling(std::string("class_queue_wait_ms.") + class_label(i),
+                class_queue_wait_[i], &class_queue_exemplar_[i]);
+      for (std::size_t i = 0; i < lane_execute_.size(); ++i)
+        rolling("lane_execute_ms." + std::to_string(i), lane_execute_[i],
+                nullptr);
+      for (std::size_t i = 0; i < lane_queue_wait_.size(); ++i)
+        rolling("lane_queue_wait_ms." + std::to_string(i),
+                lane_queue_wait_[i], nullptr);
+      for (const auto& [op_name, hist] : op_latency_)
+        rolling("op_latency_ms." + op_name, hist, nullptr);
     }
     obs::RollingEntry overall;
     overall.name = "request_latency_ms";
@@ -1286,12 +1281,10 @@ std::string Server::do_stats(const Request& req) {
     synth.rolling.push_back(std::move(overall));
 
     std::string body = obs::to_prometheus(synth, "netpartd");
-#if NETPART_OBS_ENABLED
     // The pipeline's own registry (phase timings, counters, rolling span
     // latencies) rides along under the distinct `netpart_` prefix.
     if (obs::MetricsRegistry::instance().enabled())
       body += obs::to_prometheus(obs::MetricsRegistry::instance().snapshot());
-#endif
     return std::move(
                ResponseBuilder(req.id, true)
                    .add_string("format", "prometheus")
@@ -1300,11 +1293,34 @@ std::string Server::do_stats(const Request& req) {
         .finish();
   }
 
+  // One windowed-latency view per admission class, keyed by class name.
+  const auto per_class_json =
+      [now](const std::vector<obs::RollingHistogram>& hists) {
+        std::string out = "{";
+        for (std::size_t i = 0; i < hists.size(); ++i) {
+          if (i > 0) out += ',';
+          out += '"';
+          out += class_label(i);
+          out += "\":";
+          out += latency_json(hists[i].merged(now), hists[i].window_ms());
+        }
+        return out + '}';
+      };
+  // One windowed-latency view per lane, in lane order.
+  const auto per_lane_json =
+      [now](const std::vector<obs::RollingHistogram>& hists) {
+        std::string out = "[";
+        for (std::size_t i = 0; i < hists.size(); ++i) {
+          if (i > 0) out += ',';
+          out += latency_json(hists[i].merged(now), hists[i].window_ms());
+        }
+        return out + ']';
+      };
   std::string per_op = "{";
-  std::string per_class = "{";
-  std::string per_class_queue = "{";
-  std::string lane_queue_arr = "[";
-  std::string lane_exec_arr = "[";
+  std::string per_class;
+  std::string per_class_queue;
+  std::string lane_queue_arr;
+  std::string lane_exec_arr;
   {
     const std::lock_guard<std::mutex> lock(telemetry_mutex_);
     bool first = true;
@@ -1316,39 +1332,12 @@ std::string Server::do_stats(const Request& req) {
       per_op += "\":";
       per_op += latency_json(hist.merged(now), hist.window_ms());
     }
-    for (std::size_t i = 0; i < class_latency_.size(); ++i) {
-      if (i > 0) per_class += ',';
-      per_class += '"';
-      per_class += runtime::class_name(static_cast<runtime::RequestClass>(i));
-      per_class += "\":";
-      per_class += latency_json(class_latency_[i].merged(now),
-                                class_latency_[i].window_ms());
-    }
-    for (std::size_t i = 0; i < class_queue_wait_.size(); ++i) {
-      if (i > 0) per_class_queue += ',';
-      per_class_queue += '"';
-      per_class_queue +=
-          runtime::class_name(static_cast<runtime::RequestClass>(i));
-      per_class_queue += "\":";
-      per_class_queue += latency_json(class_queue_wait_[i].merged(now),
-                                      class_queue_wait_[i].window_ms());
-    }
-    for (std::size_t i = 0; i < lane_queue_wait_.size(); ++i) {
-      if (i > 0) lane_queue_arr += ',';
-      lane_queue_arr += latency_json(lane_queue_wait_[i].merged(now),
-                                     lane_queue_wait_[i].window_ms());
-    }
-    for (std::size_t i = 0; i < lane_execute_.size(); ++i) {
-      if (i > 0) lane_exec_arr += ',';
-      lane_exec_arr += latency_json(lane_execute_[i].merged(now),
-                                    lane_execute_[i].window_ms());
-    }
+    per_class = per_class_json(class_latency_);
+    per_class_queue = per_class_json(class_queue_wait_);
+    lane_queue_arr = per_lane_json(lane_queue_wait_);
+    lane_exec_arr = per_lane_json(lane_execute_);
   }
   per_op += '}';
-  per_class += '}';
-  per_class_queue += '}';
-  lane_queue_arr += ']';
-  lane_exec_arr += ']';
 
   std::string lanes_arr = "[";
   for (std::size_t i = 0; i < st.lanes.size(); ++i) {
@@ -1406,13 +1395,10 @@ std::string Server::do_profile(const Request& req) {
   // The profiler's hot path is per-thread and lock-free, so controlling it
   // from a lane while compute runs elsewhere is safe; start/run/dump
   // sequences from one connection stay ordered by that session's lane.
-  // Under -DNETPART_OBS=OFF the stub accepts every action and dumps an
-  // empty profile, so clients behave identically in both configs.
   auto& profiler = obs::Profiler::instance();
   if (req.action == "start") {
     if (!profiler.start()) {
-      return error_response(req.id, "bad_request",
-                            "profiler is already running");
+      throw RequestError("bad_request", "profiler is already running");
     }
     return std::move(ResponseBuilder(req.id, true)
                          .add_string("op", "profile")
@@ -1450,19 +1436,19 @@ std::string Server::do_debug(const Request& req) {
   if (req.action == "postmortem") {
     const std::string path = obs::FlightRecorder::postmortem_path();
     if (path.empty()) {
-      return error_response(req.id, "bad_request",
-                            "no postmortem path configured (--postmortem)");
+      throw RequestError("bad_request",
+                         "no postmortem path configured (--postmortem)");
     }
     const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) {
-      return error_response(req.id, "internal",
-                            std::string("cannot open postmortem file: ") +
-                                std::strerror(errno));
+      throw RequestError("internal",
+                         std::string("cannot open postmortem file: ") +
+                             std::strerror(errno));
     }
     const std::int64_t bytes = recorder.dump_to_fd(fd, 0);
     ::close(fd);
     if (bytes < 0) {
-      return error_response(req.id, "internal", "postmortem write failed");
+      throw RequestError("internal", "postmortem write failed");
     }
     return std::move(ResponseBuilder(req.id, true)
                          .add_string("op", "debug")
@@ -1486,8 +1472,8 @@ std::string Server::do_debug(const Request& req) {
 
 std::string Server::do_sleep(const Request& req) {
   if (!options_.enable_debug_ops) {
-    return error_response(req.id, "bad_request",
-                          "debug ops are disabled on this server");
+    throw RequestError("bad_request",
+                       "debug ops are disabled on this server");
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(req.sleep_ms));
   return std::move(
@@ -1504,13 +1490,9 @@ std::string Server::do_shutdown(const Request& req) {
 }
 
 void Server::write_response(const std::shared_ptr<Conn>& conn,
-                            std::string line) {
-  if (line.empty()) return;
-  const bool is_error = line.find("\"ok\":false") != std::string::npos;
-  if (is_error)
-    responses_error_.fetch_add(1, std::memory_order_relaxed);
-  else
-    responses_ok_.fetch_add(1, std::memory_order_relaxed);
+                            std::string line, bool ok) {
+  (ok ? responses_ok_ : responses_error_)
+      .fetch_add(1, std::memory_order_relaxed);
 
   if (conn->closed.load(std::memory_order_relaxed)) return;
   line.push_back('\n');

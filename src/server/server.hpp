@@ -103,9 +103,12 @@ struct ServerOptions {
   repart::RepartitionOptions repartition;
 };
 
-/// Monotonic server counters, safe to read from any thread.  These are
-/// always live (unlike obs counters, which compile out under
-/// -DNETPART_OBS=OFF) because the tests assert on them.
+/// Monotonic server counters, safe to read from any thread.  They are kept
+/// per Server rather than in the process-wide obs registry: the registry
+/// records only while enabled (`--no-obs`, tests and benches leave it off),
+/// one process may run several servers, and a `trace:true` request resets
+/// the registry, so its counters are not monotonic.  The traced-request
+/// reset never touches these.
 struct ServerStatsSnapshot {
   std::int64_t connections_accepted = 0;
   std::int64_t requests_total = 0;     ///< frames parsed into valid requests
@@ -183,6 +186,10 @@ class Server {
     std::atomic<bool> closed{false};
   };
 
+  /// One request's record from frame read to final write.  It is the only
+  /// source for the response envelope's `stages_us`, the access-log line,
+  /// the flight record and the Chrome overlay, and every exit — shed,
+  /// deadline, ok, error — ends in finish().
   struct QueueItem {
     std::shared_ptr<Conn> conn;
     Request req;
@@ -195,6 +202,12 @@ class Server {
     obs::StageClock clock;
     /// Decoded trace identity; span_id is minted server-side on admit.
     obs::TraceContext trace;
+    obs::FlightOutcome outcome = obs::FlightOutcome::kRunning;
+    bool ok = false;               ///< the response is not an error
+    bool cache_hit = false;        ///< served from the result cache
+    std::int64_t begin_ms = 0;     ///< a lane picked it up (steady clock)
+    std::int64_t end_ms = 0;       ///< its handler returned (steady clock)
+    std::int64_t bytes_out = 0;    ///< response line length
   };
 
   // --- I/O thread ---
@@ -212,7 +225,8 @@ class Server {
 
   // --- executor lanes ---
   void handle_item(QueueItem& item);
-  std::string dispatch(const Request& req, bool& cache_hit);
+  /// Run the request's op; sets the record's `ok` and `cache_hit`.
+  std::string dispatch(QueueItem& item);
   std::string do_ping(const Request& req);
   std::string do_load(const Request& req);
   std::string do_partition(const Request& req, bool& cache_hit);
@@ -226,15 +240,15 @@ class Server {
   std::string do_sleep(const Request& req);
   std::string do_shutdown(const Request& req);
 
-  /// Snapshot a queue item into a flight-recorder record.
-  [[nodiscard]] obs::FlightRecord flight_record(
-      const QueueItem& item, obs::FlightOutcome outcome) const;
-
-  /// Fold one executed request into the rolling latency maps and (when
-  /// configured) the access/slow logs.  Lane-safe: telemetry_mutex_.
-  void observe_request(const QueueItem& item, std::int64_t begin_ms,
-                       std::int64_t end_ms, bool ok, bool cache_hit,
-                       std::int64_t bytes_out, std::string_view outcome);
+  /// The one exit of every admitted-or-shed request: write the response,
+  /// stamp the write stage, record the final flight record and, for
+  /// requests that reached a lane, the access-log line.
+  void finish(QueueItem& item, std::string response);
+  /// The record as the flight recorder stores it.
+  [[nodiscard]] static obs::FlightRecord flight_record(const QueueItem& item);
+  /// Append the record's access-log line (and echo slow requests to
+  /// stderr).  Lane-safe: telemetry_mutex_.
+  void log_request(const QueueItem& item);
   /// Refresh the RSS gauge at most once per second (any lane; CAS-elected).
   void sample_process_gauges(std::int64_t now_ms);
 
@@ -242,7 +256,9 @@ class Server {
   static void add_result_fields(ResponseBuilder& rb,
                                 const repart::RepartitionResult& r);
 
-  void write_response(const std::shared_ptr<Conn>& conn, std::string line);
+  /// Write one response line; `ok` picks the ok/error response counter.
+  void write_response(const std::shared_ptr<Conn>& conn, std::string line,
+                      bool ok);
 
   ServerOptions options_;
   SessionManager sessions_;
@@ -262,8 +278,8 @@ class Server {
 
   // Live telemetry.  The rolling maps and the log stream are shared by the
   // lanes under telemetry_mutex_ (uncontended at 1 lane; microseconds of
-  // hold time otherwise); always live so `stats` answers even under
-  // -DNETPART_OBS=OFF.
+  // hold time otherwise), and are kept per Server for the same reason as
+  // the ServerStatsSnapshot counters.
   /// One recent traced sample a rolling histogram points at from its p99
   /// Prometheus summary line.  Refreshed under telemetry_mutex_ whenever a
   /// traced request's sample dominates the held one or the held one ages

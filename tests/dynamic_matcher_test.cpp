@@ -255,7 +255,6 @@ TEST(DynamicMatcher, FullSweepWorkIsLinearInMovesTheorem6) {
   }
 }
 
-#if NETPART_OBS_ENABLED
 /// The obs counters must agree with the matcher's own tallies.
 TEST(DynamicMatcher, ObsCountersMatchMatcherTallies) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
@@ -274,7 +273,6 @@ TEST(DynamicMatcher, ObsCountersMatchMatcherTallies) {
   EXPECT_EQ(snap.counter("igmatch.bfs_edges_scanned"),
             matcher.edges_scanned());
 }
-#endif
 
 }  // namespace
 }  // namespace netpart

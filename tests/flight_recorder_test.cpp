@@ -257,6 +257,65 @@ TEST(FlightRecorder, DumpToFdWritesHeaderAndNdjsonLines) {
   EXPECT_NE(lines[4].find("\"kind\":\"server.start\""), std::string::npos);
 }
 
+/// The post-mortem dump and the debug-op drains share the rings' one
+/// reader: on a wrapped ring the dump's record and note lines must be the
+/// drains' array elements byte for byte, oldest first.
+TEST(FlightRecorder, DumpAndDrainAgreeOnAWrappedRing) {
+  FlightRecorder& fr = fresh(8);
+  for (std::uint64_t seed = 0; seed < 20; ++seed)
+    fr.record(make_record(seed));
+  for (std::int64_t i = 0; i < 5; ++i) fr.note("tick", i);
+
+  std::FILE* tmp = std::tmpfile();
+  ASSERT_NE(tmp, nullptr);
+  const std::int64_t bytes = fr.dump_to_fd(fileno(tmp), 0);
+  ASSERT_GT(bytes, 0);
+  std::rewind(tmp);
+  std::string body(static_cast<std::size_t>(bytes), '\0');
+  ASSERT_EQ(std::fread(body.data(), 1, body.size(), tmp), body.size());
+  std::fclose(tmp);
+
+  std::vector<std::string> lines;
+  std::size_t start = 0;
+  for (std::size_t nl = body.find('\n'); nl != std::string::npos;
+       nl = body.find('\n', start)) {
+    lines.push_back(body.substr(start, nl - start));
+    start = nl + 1;
+  }
+  // Header, the 8 surviving records, and the note ring's 2 slots (a
+  // quarter of the record capacity).
+  ASSERT_EQ(lines.size(), 1u + 8u + 2u);
+  EXPECT_NE(lines[0].find("\"recorded\":20,\"overwritten\":12,"),
+            std::string::npos)
+      << lines[0];
+
+  std::string records = "[";
+  for (std::size_t i = 0; i < 8; ++i) {
+    const std::string& line = lines[1 + i];
+    EXPECT_EQ(line.find("{\"type\":\"request\""), 0u) << line;
+    EXPECT_NE(line.find("\"id\":" + std::to_string(12 + i) + ","),
+              std::string::npos)
+        << "records must be oldest first: " << line;
+    if (i != 0) records += ',';
+    records += line;
+  }
+  records += ']';
+  EXPECT_EQ(records, fr.records_to_json());
+
+  std::string notes = "[";
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::string& line = lines[9 + i];
+    EXPECT_EQ(line.find("{\"type\":\"note\""), 0u) << line;
+    EXPECT_NE(line.find("\"value\":" + std::to_string(3 + i) + "}"),
+              std::string::npos)
+        << "notes must be oldest first: " << line;
+    if (i != 0) notes += ',';
+    notes += line;
+  }
+  notes += ']';
+  EXPECT_EQ(notes, fr.notes_to_json());
+}
+
 TEST(FlightRecorder, ReconfigureSameCapacityKeepsRecords) {
   FlightRecorder& fr = fresh(8);
   fr.record(make_record(42));

@@ -41,6 +41,11 @@ constexpr Golden kGolden[] = {
     {"Test06", 4012, 150, 1, 1525, 16, 1},
 };
 
+// Print a case as its circuit name.  gtest's default, a byte dump of the
+// struct, would include the address of `name`, which moves with every run
+// and would make the test names ctest discovers differ from build to build.
+void PrintTo(const Golden& golden, std::ostream* os) { *os << golden.name; }
+
 class GoldenTest : public ::testing::TestWithParam<Golden> {};
 
 TEST_P(GoldenTest, CircuitFingerprint) {

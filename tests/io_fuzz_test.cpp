@@ -501,7 +501,6 @@ TEST_P(ExporterFuzzTest, ChromeTraceNeverEmitsRawControlBytes) {
 /// split: exactly one space per line, positive integer count, sanitized
 /// frames with no separators or control bytes.
 TEST_P(ExporterFuzzTest, FoldedProfileStaysLineParseable) {
-#if NETPART_OBS_ENABLED
   Profiler& profiler = Profiler::instance();
   ASSERT_TRUE(profiler.start(0));
   Xoshiro256 rng(GetParam() + 9000);
@@ -554,7 +553,6 @@ TEST_P(ExporterFuzzTest, FoldedProfileStaysLineParseable) {
 
   profiler.start(0);  // leave the process-wide table empty
   profiler.stop();
-#endif
 }
 
 /// Hostile kinds, field names, and non-finite values through the event
@@ -589,13 +587,8 @@ TEST_P(ExporterFuzzTest, EventStreamStaysJsonParseable) {
         << error << ": " << line;
     ++lines;
   }
-#if NETPART_OBS_ENABLED
   EXPECT_EQ(parsed.array.size(), static_cast<std::size_t>(kEmits));
   EXPECT_EQ(lines, static_cast<std::size_t>(kEmits));
-#else
-  EXPECT_TRUE(parsed.array.empty());
-  EXPECT_EQ(lines, 0u);
-#endif
   ring.arm();  // leave the ring empty
   ring.disarm();
 }

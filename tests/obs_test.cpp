@@ -386,7 +386,6 @@ TEST_F(RegistryFixture, MacrosRecordWhenCompiledInAndEnabled) {
     NETPART_HISTOGRAM_RECORD("macro.hist", 4.0);
   }
   const MetricsSnapshot snap = r.snapshot();
-#if NETPART_OBS_ENABLED
   ASSERT_EQ(snap.spans.size(), 1u);
   EXPECT_EQ(snap.spans[0].name, "macro-span");
   EXPECT_EQ(snap.counter("macro.counter"), 3);
@@ -394,27 +393,7 @@ TEST_F(RegistryFixture, MacrosRecordWhenCompiledInAndEnabled) {
   EXPECT_DOUBLE_EQ(snap.gauges[0].value, 2.5);
   ASSERT_EQ(snap.histograms.size(), 1u);
   EXPECT_EQ(snap.histograms[0].count, 1);
-#else
-  // Compiled out: the macros above must have expanded to nothing even
-  // though the registry is enabled.
-  EXPECT_TRUE(snap.empty());
-#endif
 }
-
-#if !NETPART_OBS_ENABLED
-TEST_F(RegistryFixture, CompiledOutMacrosDoNotEvaluateArguments) {
-  int evaluations = 0;
-  const auto touch = [&evaluations]() {
-    ++evaluations;
-    return 1;
-  };
-  (void)touch;  // only ever referenced inside the discarded macro arguments
-  NETPART_COUNTER_ADD("x", touch());
-  NETPART_GAUGE_SET("x", static_cast<double>(touch()));
-  NETPART_HISTOGRAM_RECORD("x", static_cast<double>(touch()));
-  EXPECT_EQ(evaluations, 0);
-}
-#endif
 
 // ---------------------------------------------------------------------------
 // JSON serialization
@@ -821,8 +800,6 @@ struct ProfilerFixture : RegistryFixture {
   }
 };
 
-#if NETPART_OBS_ENABLED
-
 TEST_F(ProfilerFixture, ManualSamplesFoldSpanPaths) {
   Profiler& p = Profiler::instance();
   ASSERT_TRUE(p.start(0));  // hooks armed, no timer: fully deterministic
@@ -973,12 +950,10 @@ TEST_F(ProfilerFixture, TimerDrivenSamplingAttributesCpuWork) {
   EXPECT_TRUE(saw_busy);
 }
 
-#endif  // NETPART_OBS_ENABLED
-
 TEST_F(ProfilerFixture, StubProfilerIsTotalInBothConfigs) {
-  // This test runs in BOTH configurations: the OBS=OFF stub must accept the
-  // same call sequence the real profiler does (CLI/server code is written
-  // against that contract, with no #ifdefs).
+  // The call sequence CLI/server code relies on — manual start, a frame,
+  // a synchronous sample, stop — must be total, and export stays
+  // deterministic.
   Profiler& p = Profiler::instance();
   EXPECT_TRUE(p.start(0));
   Profiler::push_frame("x");
@@ -988,10 +963,6 @@ TEST_F(ProfilerFixture, StubProfilerIsTotalInBothConfigs) {
   EXPECT_FALSE(p.running());
   const ProfileSnapshot snap = p.snapshot();
   EXPECT_EQ(snap.to_folded(), snap.to_folded());
-#if !NETPART_OBS_ENABLED
-  EXPECT_TRUE(snap.empty());
-  EXPECT_EQ(snap.to_folded(), "");
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -1004,7 +975,6 @@ TEST(EventRing, EmitDrainRoundTripPreservesOrder) {
   NETPART_EVENT("test.alpha", {"j", 1.0}, {"residual", 0.25});
   NETPART_EVENT("test.beta", {"gain", -3.0});
   ring.disarm();
-#if NETPART_OBS_ENABLED
   EXPECT_EQ(ring.recorded(), 2);
   EXPECT_EQ(ring.dropped(), 0);
 
@@ -1032,11 +1002,6 @@ TEST(EventRing, EmitDrainRoundTripPreservesOrder) {
   ASSERT_EQ(arr.array.size(), 2u);
   EXPECT_EQ(arr.array[0].at("kind").string, "test.alpha");
   EXPECT_EQ(arr.array[1].at("kind").string, "test.beta");
-#else
-  EXPECT_EQ(ring.recorded(), 0);
-  EXPECT_EQ(ring.drain_ndjson(), "");
-  EXPECT_EQ(ring.drain_json_array(), "[]");
-#endif
 }
 
 TEST(EventRing, DisarmedEmitsAreIgnored) {
@@ -1059,7 +1024,6 @@ TEST(EventRing, RearmClearsThePreviousRun) {
   EXPECT_EQ(ring.drain_json_array(), "[]");
 }
 
-#if NETPART_OBS_ENABLED
 TEST(EventRing, ConcurrentEmittersLoseNoEvents) {
   EventRing& ring = EventRing::instance();
   ring.arm();
@@ -1099,22 +1063,6 @@ TEST(EventRing, FullRingDropsNewEventsNotOldOnes) {
   ring.arm();  // leave the ring empty for later tests
   ring.disarm();
 }
-#endif  // NETPART_OBS_ENABLED
-
-#if !NETPART_OBS_ENABLED
-TEST(EventRing, CompiledOutEventMacroDoesNotEvaluateArguments) {
-  int evaluations = 0;
-  const auto touch = [&evaluations]() {
-    ++evaluations;
-    return 1.0;
-  };
-  (void)touch;  // only ever referenced inside the discarded macro arguments
-  EventRing::instance().arm();
-  NETPART_EVENT("x", {"v", touch()});
-  EventRing::instance().disarm();
-  EXPECT_EQ(evaluations, 0);
-}
-#endif
 
 // ---------------------------------------------------------------------------
 // Trace context (always compiled: serving telemetry, like the rolling

@@ -612,7 +612,17 @@ TEST(ServerTest, AccessLogWritesOneNdjsonLinePerExecutedRequest) {
     lines.push_back(std::move(entry));
   }
   ASSERT_EQ(lines.size(), 3u);
+  // The exact key order of every line (the parser keeps object order).
+  const std::vector<std::string> kKeyOrder = {
+      "ts_ms", "op", "id", "session", "ok", "outcome", "class",
+      "bytes_in", "bytes_out", "queue_ms", "exec_ms", "cache_hit",
+      "deadline_slack_ms", "slow", "trace_id", "span_id", "lane",
+      "parse_us", "admission_us", "queue_us", "execute_us",
+      "serialize_us", "write_us", "total_us"};
   for (const JsonValue& entry : lines) {
+    std::vector<std::string> keys;
+    for (const auto& member : entry.object) keys.push_back(member.first);
+    EXPECT_EQ(keys, kKeyOrder);
     EXPECT_GT(get_number(entry, "ts_ms"), 0.0);
     EXPECT_FALSE(get_string(entry, "op").empty());
     ASSERT_NE(entry.find("ok"), nullptr);
@@ -639,7 +649,6 @@ TEST(ServerTest, AccessLogWritesOneNdjsonLinePerExecutedRequest) {
   std::remove(log_path.c_str());
 }
 
-#if NETPART_OBS_ENABLED
 TEST(ServerTest, ChromeTraceRoundTripsThroughTheWire) {
   ServerOptions options = test_options(unique_socket());
   options.enable_obs = true;
@@ -680,7 +689,6 @@ TEST(ServerTest, ChromeTraceRoundTripsThroughTheWire) {
   obs::MetricsRegistry::instance().set_enabled(false);
   obs::MetricsRegistry::instance().reset();
 }
-#endif
 
 TEST(ServerTest, ProfileOpControlsTheSamplingProfiler) {
   ServerFixture fixture(test_options(unique_socket()));
@@ -698,13 +706,11 @@ TEST(ServerTest, ProfileOpControlsTheSamplingProfiler) {
       rpc(client, R"({"id":3,"op":"profile","action":"start"})");
   ASSERT_TRUE(is_ok(started));
   EXPECT_EQ(get_string(started, "op"), "profile");
-#if NETPART_OBS_ENABLED
   EXPECT_TRUE(get_bool(started, "running"));
   // Double start is an error, and must not clobber the running session.
   EXPECT_EQ(
       error_code(rpc(client, R"({"id":4,"op":"profile","action":"start"})")),
       "bad_request");
-#endif
 
   // Run real work under the profiler, plus one deterministic manual sample
   // (the server and this test share the process-wide profiler) so the dump
@@ -723,7 +729,6 @@ TEST(ServerTest, ProfileOpControlsTheSamplingProfiler) {
   const JsonValue* folded = dump.find("folded");
   ASSERT_NE(folded, nullptr);
   ASSERT_TRUE(folded->is_string());
-#if NETPART_OBS_ENABLED
   EXPECT_GE(get_number(dump, "samples"), 1.0);
   EXPECT_GE(get_number(dump, "attribution"), 0.0);
   EXPECT_TRUE(get_bool(dump, "running"));
@@ -736,17 +741,29 @@ TEST(ServerTest, ProfileOpControlsTheSamplingProfiler) {
     ASSERT_NE(space, std::string::npos) << folded_line;
     EXPECT_GT(std::stoll(folded_line.substr(space + 1)), 0) << folded_line;
   }
-#endif
 
   const JsonValue stopped =
       rpc(client, R"({"id":8,"op":"profile","action":"stop"})");
   ASSERT_TRUE(is_ok(stopped));
   EXPECT_FALSE(get_bool(stopped, "running"));
-  // Samples survive stop() so dump-after-stop still works.
+  // Samples survive stop() so dump-after-stop still works.  The timer may
+  // tick once more between the running dump and the stop, so that dump is
+  // a floor; once stopped, real work (a fresh session, so the solver runs)
+  // adds no samples.
   const JsonValue after =
       rpc(client, R"({"id":9,"op":"profile","action":"dump"})");
   ASSERT_TRUE(is_ok(after));
-  EXPECT_EQ(get_number(after, "samples"), get_number(dump, "samples"));
+  EXPECT_FALSE(get_bool(after, "running"));
+  EXPECT_GE(get_number(after, "samples"), get_number(dump, "samples"));
+  ASSERT_TRUE(is_ok(rpc(
+      client, R"({"id":10,"op":"load","session":"q","circuit":"bm1"})")));
+  ASSERT_TRUE(is_ok(rpc(
+      client,
+      R"({"id":11,"op":"partition","session":"q","use_cache":false})")));
+  const JsonValue later =
+      rpc(client, R"({"id":12,"op":"profile","action":"dump"})");
+  ASSERT_TRUE(is_ok(later));
+  EXPECT_EQ(get_number(later, "samples"), get_number(after, "samples"));
 
   // Clear the process-wide sample table for later tests in this binary.
   obs::Profiler::instance().start(0);
@@ -772,7 +789,6 @@ TEST(ServerTest, PartitionWithEventsSplicesTheConvergenceStream) {
   ASSERT_NE(events, nullptr);
   EXPECT_GE(get_number(traced, "events_recorded"), 0.0);
   EXPECT_GE(get_number(traced, "events_dropped"), 0.0);
-#if NETPART_OBS_ENABLED
   // The solver ran under an armed ring: the Lanczos iteration series must
   // be present, in emission order.
   ASSERT_FALSE(events->array.empty());
@@ -789,10 +805,6 @@ TEST(ServerTest, PartitionWithEventsSplicesTheConvergenceStream) {
     }
   }
   EXPECT_TRUE(saw_lanczos);
-#else
-  EXPECT_TRUE(events->array.empty());
-  EXPECT_EQ(get_number(traced, "events_recorded"), 0.0);
-#endif
 
   // The splice must not perturb the result itself: an events-free compute
   // of the same circuit yields identical bits (and no "events" key — the
@@ -808,7 +820,6 @@ TEST(ServerTest, PartitionWithEventsSplicesTheConvergenceStream) {
   EXPECT_EQ(get_number(traced, "cut"), get_number(plain, "cut"));
   EXPECT_EQ(get_number(traced, "ratio"), get_number(plain, "ratio"));
 }
-
 
 /// One session's end-to-end conversation: cold partition, ECO edit, warm
 /// repartition, idempotent replay.  Cache is bypassed so the responses are
@@ -1114,6 +1125,10 @@ TEST(ServerTest, TraceContextPropagatesAndStagesSumToWall) {
   options.access_log_path = log_path;
   const std::string tid = "00112233445566778899aabbccddeeff";
   std::string server_span;
+  // Stage durations of the traced request as the envelope and the flight
+  // recorder report them; the access log must agree on every shared stage.
+  std::map<std::string, double> envelope_stages;
+  std::map<std::string, double> flight_stages;
   {
     ServerFixture fixture(options);
     Client client;
@@ -1136,8 +1151,10 @@ TEST(ServerTest, TraceContextPropagatesAndStagesSumToWall) {
     // known before the line is on the wire and lands in the access log.
     ASSERT_EQ(stages->object.size(), 5u);
     for (const char* name :
-         {"parse", "admission", "queue", "execute", "serialize"})
+         {"parse", "admission", "queue", "execute", "serialize"}) {
       EXPECT_GE(get_number(*stages, name), 0.0) << name;
+      envelope_stages[name] = get_number(*stages, name);
+    }
 
     // The exemplar on the class-latency p99 sample names this trace.
     const JsonValue prom =
@@ -1160,6 +1177,10 @@ TEST(ServerTest, TraceContextPropagatesAndStagesSumToWall) {
       EXPECT_EQ(get_string(r, "op"), "partition");
       EXPECT_EQ(get_string(r, "span_id"), server_span);
       EXPECT_GE(get_number(r, "lane"), 0.0);
+      const JsonValue* rec_stages = r.find("stages_us");
+      ASSERT_NE(rec_stages, nullptr);
+      for (const auto& [name, value] : rec_stages->object)
+        flight_stages[name] = value.number;
     }
     EXPECT_TRUE(found) << "traced request missing from the flight recorder";
     fixture.stop();
@@ -1191,6 +1212,14 @@ TEST(ServerTest, TraceContextPropagatesAndStagesSumToWall) {
     EXPECT_GE(total, sum);
     EXPECT_LE(total - sum, 6.0)
         << "stage durations must decompose the wall latency";
+    // One record behind all three outputs: equal values for every stage
+    // they share (the envelope stops at serialize).
+    ASSERT_EQ(flight_stages.size(), 6u);
+    for (const auto& [name, value] : flight_stages)
+      EXPECT_EQ(get_number(entry, name + "_us"), value) << name;
+    ASSERT_EQ(envelope_stages.size(), 5u);
+    for (const auto& [name, value] : envelope_stages)
+      EXPECT_EQ(get_number(entry, name + "_us"), value) << name;
   }
   EXPECT_TRUE(checked);
   std::remove(log_path.c_str());

@@ -518,8 +518,7 @@ int main(int argc, char** argv) {
     registry.set_run_label(label);
   }
   // Arm the profiler / convergence-event ring around the whole command, so
-  // the folded profile and the NDJSON event series cover every phase.  Both
-  // are no-ops under -DNETPART_OBS=OFF (the output files end up empty).
+  // the folded profile and the NDJSON event series cover every phase.
   if (!flags.profile_out.empty() && !obs::Profiler::instance().start()) {
     std::cerr << "error: cannot start the sampling profiler\n";
     return 1;
