@@ -292,14 +292,15 @@ IgMatchResult igmatch_partition(const Hypergraph& h,
     trivial.partition = Partition(h.num_modules(), Side::kLeft);
     return trivial;
   }
-  const NetOrdering ordering =
-      options.prebuilt_ig != nullptr
-          ? spectral_net_ordering_of_ig(h, *options.prebuilt_ig,
-                                        options.lanczos,
-                                        options.threshold_net_size)
-          : spectral_net_ordering(h, options.weighting, options.lanczos,
-                                  options.threshold_net_size);
-  IgMatchResult result = igmatch_with_ordering(h, ordering.order, options);
+  // One IG feeds both the ordering and the sweep.
+  WeightedGraph built;
+  if (options.prebuilt_ig == nullptr)
+    built = intersection_graph(h, options.weighting);
+  const WeightedGraph& ig =
+      options.prebuilt_ig != nullptr ? *options.prebuilt_ig : built;
+  const NetOrdering ordering = spectral_net_ordering_of_ig(
+      h, ig, options.lanczos, options.threshold_net_size);
+  IgMatchResult result = igmatch_sweep(h, ig, ordering.order, {}, options);
   result.lambda2 = ordering.lambda2;
   result.eigen_converged = ordering.eigen_converged;
   NETPART_COUNTER_ADD("igmatch.runs", 1);

@@ -86,8 +86,9 @@ struct IgMatchResult {
                                               const IgMatchOptions& options = {});
 
 /// Run the sweep from an explicit net ordering (a permutation of the net
-/// ids).  Used by tests and by the recursive completion; `igmatch_partition`
-/// delegates here after computing the spectral ordering.
+/// ids), building the IG unless `options.prebuilt_ig` supplies it.
+/// `igmatch_partition` instead hands the IG it built for the spectral
+/// ordering straight to `igmatch_sweep`, so one IG serves both.
 [[nodiscard]] IgMatchResult igmatch_with_ordering(
     const Hypergraph& h, std::span<const std::int32_t> net_order,
     const IgMatchOptions& options = {});

@@ -1,7 +1,10 @@
 #include "repart/edit_script.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <istream>
+#include <numeric>
 #include <sstream>
 
 #include "io/netlist_io.hpp"
@@ -23,6 +26,19 @@ std::int32_t parse_id(const std::string& token, std::int64_t line,
     throw io::ParseError(std::string(what) + " '" + token + "' out of range",
                          line);
   return static_cast<std::int32_t>(value);
+}
+
+/// Handle of the default name "n<k>" (canonical decimal, k < initial_nets),
+/// or -1 for any other name.
+std::int32_t default_handle(const std::string& name,
+                            std::int32_t initial_nets) {
+  if (name.size() < 2 || name.size() > 11 || name[0] != 'n' ||
+      name.find_first_not_of("0123456789", 1) != std::string::npos ||
+      (name[1] == '0' && name.size() > 2))  // "n0", never "n07"
+    return -1;
+  std::int64_t k = 0;
+  std::from_chars(name.data() + 1, name.data() + name.size(), k);
+  return k < initial_nets ? static_cast<std::int32_t>(k) : -1;
 }
 
 std::vector<std::string> tokenize(const std::string& line) {
@@ -108,40 +124,49 @@ EditScript read_edit_script_file(const std::string& path) {
 }
 
 EditScriptApplier::EditScriptApplier(EditableNetlist& netlist)
-    : netlist_(netlist) {
-  const std::int32_t m = netlist_.num_nets();
-  names_.reserve(static_cast<std::size_t>(m));
-  for (std::int32_t n = 0; n < m; ++n) {
-    std::string name = "n";
-    name += std::to_string(n);
-    ids_.emplace(name, n);
-    names_.push_back(std::move(name));
-  }
+    : netlist_(netlist),
+      initial_nets_(netlist.num_nets()),
+      next_handle_(initial_nets_) {}
+
+NetId EditScriptApplier::live_id(const std::string& name) const {
+  const auto added = added_.find(name);
+  const std::int32_t handle = added != added_.end()
+                                  ? added->second
+                                  : default_handle(name, initial_nets_);
+  if (handle < 0) return -1;
+  const auto it = std::lower_bound(handle_of_.begin(), handle_of_.end(), handle);
+  if (it == handle_of_.end() || *it != handle) return -1;
+  return static_cast<NetId>(it - handle_of_.begin());
+}
+
+NetId EditScriptApplier::resolve(const std::string& name) const {
+  const NetId id = live_id(name);
+  if (id < 0) throw std::invalid_argument("unknown net name '" + name + "'");
+  return id;
 }
 
 void EditScriptApplier::apply(const EditBatch& batch) {
+  if (!table_built_) {
+    handle_of_.resize(static_cast<std::size_t>(initial_nets_));
+    std::iota(handle_of_.begin(), handle_of_.end(), 0);
+    table_built_ = true;
+  }
   for (const EditOp& op : batch) {
     switch (op.kind) {
       case EditOpKind::kAddNet: {
-        if (ids_.count(op.net_name) != 0)
+        if (live_id(op.net_name) >= 0)
           throw std::invalid_argument("duplicate net name '" + op.net_name +
                                       "'");
-        const NetId id = netlist_.add_net(op.pins);
-        names_.push_back(op.net_name);
-        ids_.emplace(op.net_name, id);
+        (void)netlist_.add_net(op.pins);  // appended: id == handle_of_.size()
+        added_.emplace(op.net_name, next_handle_);
+        handle_of_.push_back(next_handle_++);
         break;
       }
       case EditOpKind::kRemoveNet: {
-        const auto it = ids_.find(op.net_name);
-        if (it == ids_.end())
-          throw std::invalid_argument("unknown net name '" + op.net_name +
-                                      "'");
-        const NetId id = it->second;
+        const NetId id = resolve(op.net_name);
         netlist_.remove_net(id);
-        names_.erase(names_.begin() + id);
-        ids_.erase(it);
-        for (auto& entry : ids_)
-          if (entry.second > id) --entry.second;
+        handle_of_.erase(handle_of_.begin() + id);
+        added_.erase(op.net_name);  // no-op for a default name
         break;
       }
       case EditOpKind::kAddModule:
@@ -150,14 +175,9 @@ void EditScriptApplier::apply(const EditBatch& batch) {
       case EditOpKind::kRemoveModule:
         netlist_.remove_module(op.module_a);
         break;
-      case EditOpKind::kMovePin: {
-        const auto it = ids_.find(op.net_name);
-        if (it == ids_.end())
-          throw std::invalid_argument("unknown net name '" + op.net_name +
-                                      "'");
-        netlist_.move_pin(it->second, op.module_a, op.module_b);
+      case EditOpKind::kMovePin:
+        netlist_.move_pin(resolve(op.net_name), op.module_a, op.module_b);
         break;
-      }
     }
   }
 }

@@ -64,7 +64,18 @@ struct EditScript {
 
 /// Applies parsed edit ops to an EditableNetlist, resolving net names to
 /// the netlist's shifting dense ids.  Construct over a netlist whose nets
-/// carry the default names n0..n{m-1}.
+/// carry the default names n0..n{m-1}; every later edit of that netlist must
+/// go through this applier.
+///
+/// Names resolve through stable handles: the nets of the original design
+/// are handles 0..m-1 (their names are parsed, not stored), and each
+/// add-net takes the next handle and a map entry.  The netlist appends
+/// added nets and keeps the order of survivors, so live handles sorted
+/// ascending are the nets in current-id order: `handle_of_[id]` is the
+/// handle of net `id`, and a handle's current id is its position there.  A
+/// remove-net shifts that one int array; nothing else is rewritten.  The
+/// array is built on the first apply(), so appliers that never edit cost
+/// nothing beyond their construction.
 class EditScriptApplier {
  public:
   explicit EditScriptApplier(EditableNetlist& netlist);
@@ -75,9 +86,17 @@ class EditScriptApplier {
   void apply(const EditBatch& batch);
 
  private:
+  /// Current id of the live net called `name`, or -1.
+  [[nodiscard]] NetId live_id(const std::string& name) const;
+  /// live_id, throwing std::invalid_argument for an unknown name.
+  [[nodiscard]] NetId resolve(const std::string& name) const;
+
   EditableNetlist& netlist_;
-  std::vector<std::string> names_;                       // by current net id
-  std::unordered_map<std::string, std::int32_t> ids_;    // name -> current id
+  std::int32_t initial_nets_;  // handles of the default names n0..n{m-1}
+  std::int32_t next_handle_;   // handle of the next add-net
+  bool table_built_ = false;
+  std::vector<std::int32_t> handle_of_;  // by current net id, ascending
+  std::unordered_map<std::string, std::int32_t> added_;  // add-net name -> handle
 };
 
 }  // namespace netpart::repart

@@ -12,11 +12,18 @@ namespace netpart::repart {
 
 RepartitionSession::RepartitionSession(const Hypergraph& initial,
                                        RepartitionOptions options)
-    : options_(std::move(options)),
-      editor_(initial),
-      h_(initial),
-      inc_ig_(initial, options_.weighting),
-      ig_(inc_ig_.snapshot(initial)) {}
+    : options_(std::move(options)), editor_(initial), h_(initial) {}
+
+void RepartitionSession::build_ig() {
+  NETPART_COUNTER_ADD("repart.ig_builds", 1);
+  inc_ig_.emplace(h_, options_.weighting);
+}
+
+const WeightedGraph& RepartitionSession::intersection_graph() {
+  if (!inc_ig_) build_ig();
+  if (!ig_) ig_ = inc_ig_->snapshot(h_);
+  return *ig_;
+}
 
 SessionWarmState RepartitionSession::export_warm_state() const {
   SessionWarmState state;
@@ -67,7 +74,7 @@ std::vector<char> RepartitionSession::build_rank_mask(
   // arbitrarily under any perturbation, so chasing ordering drift itself
   // degenerates into a full sweep; the prev-partition quality guard in
   // repartition() backstops anything a small mask misses.
-  for (const NetId a : inc_ig_.last_affected_nets())
+  for (const NetId a : inc_ig_->last_affected_nets())
     mark(pos[static_cast<std::size_t>(a)] + 1);
 
   // The neighbourhood of the previous winner is always worth re-checking.
@@ -99,21 +106,36 @@ RepartitionResult RepartitionSession::repartition() {
 
   ChangeSet changes = editor_.drain_changes();
   const bool edited = !changes.empty();
+  const std::int32_t n = editor_.num_modules();
+  const bool vcycle =
+      options_.vcycle_threshold > 0 && n >= options_.vcycle_threshold;
+  // Only the flat path reads the intersection graph.  A V-cycle epoch drops
+  // it; the flat path builds it on first use from h_, which is still the
+  // baseline `changes` refers to, and folds the batch in below — the same
+  // rows, affected set and snapshot as an IG maintained all along.
+  if (vcycle) {
+    inc_ig_.reset();
+    ig_.reset();
+  } else if (!inc_ig_) {
+    build_ig();
+  }
   if (edited) {
-    {
-      NETPART_SPAN("materialize");
-      h_ = editor_.materialize();
-    }
-    inc_ig_.update(h_, changes);
-    ig_ = inc_ig_.snapshot(h_);
+    NETPART_SPAN("materialize");
+    h_ = editor_.materialize();
   }
 
   const std::int32_t m = h_.num_nets();
-  const std::int32_t n = h_.num_modules();
   RepartitionResult out;
   out.sweep_ranks_total = std::max(0, m - 1);
-  out.ig_rows_rebuilt = edited ? inc_ig_.last_rows_rebuilt() : 0;
-  out.ig_rows_reused = edited ? inc_ig_.last_rows_reused() : m;
+  if (!vcycle) {
+    if (edited) {
+      inc_ig_->update(h_, changes);
+      ig_.reset();
+    }
+    if (!ig_) ig_ = inc_ig_->snapshot(h_);
+    out.ig_rows_rebuilt = edited ? inc_ig_->last_rows_rebuilt() : 0;
+    out.ig_rows_reused = edited ? inc_ig_->last_rows_reused() : m;
+  }
 
   if (m < 2 || n < 2) {
     out.partition = Partition(n);
@@ -123,8 +145,7 @@ RepartitionResult RepartitionSession::repartition() {
     return out;
   }
 
-  if (options_.vcycle_threshold > 0 && n >= options_.vcycle_threshold)
-    return repartition_vcycle(changes, std::move(out));
+  if (vcycle) return repartition_vcycle(changes, std::move(out));
 
   // A warm start additionally requires the cache to be of the epoch the
   // journal's remap tables refer to (they always are when edits flow
@@ -149,7 +170,7 @@ RepartitionResult RepartitionSession::repartition() {
     NETPART_COUNTER_ADD("repart.cache_misses", 1);
   }
 
-  NetOrdering ordering = spectral_net_ordering_of_ig(h_, ig_, lanczos, 0);
+  NetOrdering ordering = spectral_net_ordering_of_ig(h_, *ig_, lanczos, 0);
   out.lambda2 = ordering.lambda2;
   out.eigen_converged = ordering.eigen_converged;
   out.lanczos_iterations = ordering.lanczos_iterations;
@@ -165,7 +186,7 @@ RepartitionResult RepartitionSession::repartition() {
   igmatch.weighting = options_.weighting;
   igmatch.lanczos = options_.lanczos;
   const IgMatchResult sweep =
-      igmatch_sweep(h_, ig_, ordering.order, mask, igmatch);
+      igmatch_sweep(h_, *ig_, ordering.order, mask, igmatch);
 
   out.sweep_ranks_evaluated = out.sweep_ranks_total;
   if (!mask.empty()) {
@@ -268,7 +289,8 @@ RepartitionResult RepartitionSession::repartition_vcycle(
     out.vcycles_run = r.vcycles_run;
   }
   out.nets_cut = net_cut(h_, out.partition);
-  out.ratio = ratio_cut(h_, out.partition);
+  out.ratio = ratio_cut_value(out.nets_cut, out.partition.size(Side::kLeft),
+                              out.partition.size(Side::kRight));
 
   // No Fiedler vector was computed on this path, so the flat path's
   // spectral cache dies here; the partition cache survives and feeds the

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "cluster/multilevel.hpp"
@@ -18,7 +19,12 @@
 ///
 /// A session owns one evolving netlist plus three caches that make the
 /// next `repartition()` cheap:
-///  - the incrementally maintained intersection graph (delta row rebuilds);
+///  - the incrementally maintained intersection graph (delta row rebuilds).
+///    Only the flat spectral path reads it, so it is built on the first
+///    flat-path repartition (or `intersection_graph()` call), not by the
+///    constructor; V-cycle runs and sessions answered from the server's
+///    result cache never build one, and a V-cycle run drops any left over
+///    from a flat epoch;
 ///  - the previous run's Fiedler vector, fed back as the Lanczos warm
 ///    start.  It trims iterations rather than skipping them: bench/
 ///    repartition on a 4-CPU host measured a median of 224 warm
@@ -101,6 +107,8 @@ struct RepartitionResult {
   std::int32_t vcycles_run = 0;
   std::int32_t sweep_ranks_evaluated = 0;
   std::int32_t sweep_ranks_total = 0;
+  /// Intersection-graph rows rebuilt / reused by this run's delta update.
+  /// Both stay 0 on the V-cycle path, which keeps no intersection graph.
   std::int32_t ig_rows_rebuilt = 0;
   std::int32_t ig_rows_reused = 0;
 };
@@ -121,8 +129,9 @@ class RepartitionSession {
   /// Current materialized hypergraph (as of the last repartition()).
   [[nodiscard]] const Hypergraph& hypergraph() const { return h_; }
 
-  /// Current intersection graph (incrementally maintained snapshot).
-  [[nodiscard]] const WeightedGraph& intersection_graph() const { return ig_; }
+  /// Intersection graph of hypergraph(): the incrementally maintained
+  /// snapshot, built on demand when the session holds none.
+  [[nodiscard]] const WeightedGraph& intersection_graph();
 
   [[nodiscard]] const RepartitionOptions& options() const { return options_; }
 
@@ -140,6 +149,9 @@ class RepartitionSession {
   void import_warm_state(SessionWarmState state);
 
  private:
+  /// Full IG build from h_ (counted as `repart.ig_builds`).
+  void build_ig();
+
   std::vector<char> build_rank_mask(const ChangeSet& changes,
                                     const std::vector<std::int32_t>& order);
 
@@ -151,8 +163,9 @@ class RepartitionSession {
   RepartitionOptions options_;
   EditableNetlist editor_;
   Hypergraph h_;
-  IncrementalIntersectionGraph inc_ig_;
-  WeightedGraph ig_;
+  // Flat path only: the rows track h_, and ig_ is their snapshot.
+  std::optional<IncrementalIntersectionGraph> inc_ig_;
+  std::optional<WeightedGraph> ig_;
 
   // Warm-start cache (valid_ false until the first successful run).  The
   // V-cycle path needs only the previous partition, so it keys off

@@ -91,6 +91,11 @@ struct CircuitParam {
   const char* name;
 };
 
+// Print a case as its circuit name.  gtest's default, a byte dump of the
+// struct, would include the address of `name`, which moves with every run
+// and would make the test names ctest discovers differ from build to build.
+void PrintTo(const CircuitParam& param, std::ostream* os) { *os << param.name; }
+
 class GeneratedCircuitTest : public ::testing::TestWithParam<CircuitParam> {};
 
 TEST_P(GeneratedCircuitTest, AllAlgorithmsReportTruthfully) {

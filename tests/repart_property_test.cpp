@@ -30,6 +30,7 @@
 #include "graph/intersection_graph.hpp"
 #include "hypergraph/cut_metrics.hpp"
 #include "igmatch/igmatch.hpp"
+#include "obs/metrics.hpp"
 #include "repart/edit_script.hpp"
 #include "repart/session.hpp"
 
@@ -344,6 +345,400 @@ TEST(RepartPropertyTest, MultilevelWarmStartTracksColdVcycleOverEcoTrace) {
   EXPECT_GE(warm_wins, cold_wins);
   EXPECT_LE(final_warm, final_cold * 1.02 + 1e-12)
       << "warm drifted beyond 2% of a cold V-cycle re-solve";
+}
+
+/// Counts `repart.ig_builds` over the scope: resets and enables the
+/// process-wide registry, and disables it again on exit.
+class IgBuildCounter {
+ public:
+  IgBuildCounter() {
+    registry_.reset();
+    registry_.set_enabled(true);
+  }
+  ~IgBuildCounter() {
+    registry_.set_enabled(false);
+    registry_.reset();
+  }
+  [[nodiscard]] std::int64_t builds() const {
+    return registry_.counter("repart.ig_builds");
+  }
+
+ private:
+  obs::MetricsRegistry& registry_ = obs::MetricsRegistry::instance();
+};
+
+void expect_partitions_equal(const Partition& got, const Partition& want) {
+  ASSERT_EQ(got.num_modules(), want.num_modules());
+  for (ModuleId m = 0; m < got.num_modules(); ++m)
+    ASSERT_EQ(got.side(m), want.side(m)) << "module " << m;
+}
+
+/// Default net names n0..n{m-1}, the names an applier starts from.
+std::vector<std::string> default_names(const Hypergraph& h) {
+  std::vector<std::string> names;
+  for (NetId n = 0; n < h.num_nets(); ++n)
+    names.push_back("n" + std::to_string(n));
+  return names;
+}
+
+/// Applies `edits` seeded ECO ops (add-net, remove-net, move-pin) through
+/// `applier`, one at a time so each op is drawn against the netlist the
+/// previous one left.  `names` tracks the net names by current id; added
+/// nets are named `<tag>_<e>`.  Returns the ops, to replay elsewhere.
+EditBatch apply_eco_edits(EditScriptApplier& applier,
+                          const EditableNetlist& netlist,
+                          std::vector<std::string>& names,
+                          const std::string& tag, std::int32_t edits,
+                          Xoshiro256& rng) {
+  EditBatch applied;
+  for (std::int32_t e = 0; e < edits; ++e) {
+    const auto modules = static_cast<std::uint64_t>(netlist.num_modules());
+    const auto id = static_cast<NetId>(
+        rng.below(static_cast<std::uint64_t>(netlist.num_nets())));
+    EditOp op;
+    if (e % 3 == 0) {
+      op.kind = EditOpKind::kAddNet;
+      op.net_name = tag + "_" + std::to_string(e);
+      for (std::int32_t p = 0; p < 3; ++p)
+        op.pins.push_back(static_cast<ModuleId>(rng.below(modules)));
+    } else if (e % 3 == 1) {
+      op.kind = EditOpKind::kRemoveNet;
+      op.net_name = names[static_cast<std::size_t>(id)];
+    } else {
+      const auto pins = netlist.pins(id);
+      if (pins.empty()) continue;
+      op.kind = EditOpKind::kMovePin;
+      op.net_name = names[static_cast<std::size_t>(id)];
+      op.module_a = pins[static_cast<std::size_t>(
+          rng.below(static_cast<std::uint64_t>(pins.size())))];
+      op.module_b = static_cast<ModuleId>(rng.below(modules));
+    }
+    applier.apply({op});
+    if (op.kind == EditOpKind::kAddNet) names.push_back(op.net_name);
+    if (op.kind == EditOpKind::kRemoveNet) names.erase(names.begin() + id);
+    applied.push_back(std::move(op));
+  }
+  return applied;
+}
+
+// The V-cycle path never reads the intersection graph, so a session that
+// stays on it must never build one: not in the constructor, not for the
+// cold solve, not for any warm ECO batch.
+TEST(RepartPropertyTest, VcycleSessionNeverBuildsTheIntersectionGraph) {
+  GeneratorConfig config;
+  config.name = "repart-vcycle-no-ig";
+  config.num_modules = 400;
+  config.num_nets = 1000;
+  const Hypergraph h = generate_circuit(config).hypergraph;
+  RepartitionOptions options;
+  options.vcycle_threshold = 1;
+  options.vcycle.direct_pair_budget = 0;  // force real hierarchies
+  options.vcycle.coarsen_to = 64;
+
+  IgBuildCounter counter;
+  RepartitionSession session(h, options);
+  EditScriptApplier applier(session.netlist());
+  std::vector<std::string> names = default_names(h);
+  const RepartitionResult cold = session.repartition();
+  ASSERT_TRUE(cold.used_vcycle);
+  Xoshiro256 rng(5150);
+  for (std::int32_t batch = 0; batch < 4; ++batch) {
+    (void)apply_eco_edits(applier, session.netlist(), names,
+                          "v" + std::to_string(batch), 12, rng);
+    const RepartitionResult warm = session.repartition();
+    ASSERT_TRUE(warm.used_vcycle) << "batch " << batch;
+    ASSERT_TRUE(warm.warm_started) << "batch " << batch;
+    EXPECT_EQ(warm.ig_rows_rebuilt, 0) << "batch " << batch;
+    EXPECT_EQ(warm.ig_rows_reused, 0) << "batch " << batch;
+  }
+  EXPECT_EQ(counter.builds(), 0);
+
+  // Control: the flat path counts its one build, then only updates.
+  RepartitionSession flat(h);
+  EditScriptApplier flat_applier(flat.netlist());
+  std::vector<std::string> flat_names = default_names(h);
+  (void)flat.repartition();
+  for (std::int32_t batch = 0; batch < 3; ++batch) {
+    (void)apply_eco_edits(flat_applier, flat.netlist(), flat_names,
+                          "f" + std::to_string(batch), 6, rng);
+    const RepartitionResult warm = flat.repartition();
+    ASSERT_FALSE(warm.used_vcycle);
+    EXPECT_GT(warm.ig_rows_rebuilt, 0) << "batch " << batch;
+  }
+  EXPECT_EQ(counter.builds(), 1);
+}
+
+// A session that drops below the V-cycle threshold builds its IG from the
+// netlist as of the last drain and folds the pending batch in.  The result
+// must equal a from-scratch build, and the (cold) flat answer must equal
+// igmatch_partition; crossing back and forth rebuilds it each time.
+TEST(RepartPropertyTest, CrossingFromVcycleToFlatBuildsAnExactIg) {
+  GeneratorConfig config;
+  config.name = "repart-threshold-crossing";
+  config.num_modules = 300;
+  config.num_nets = 420;
+  const Hypergraph h = generate_circuit(config).hypergraph;
+  RepartitionOptions options;
+  options.vcycle_threshold = h.num_modules();
+
+  IgBuildCounter counter;
+  RepartitionSession session(h, options);
+  EditScriptApplier applier(session.netlist());
+  std::vector<std::string> names = default_names(h);
+  ASSERT_TRUE(session.repartition().used_vcycle);
+  Xoshiro256 rng(77);
+  (void)apply_eco_edits(applier, session.netlist(), names, "a", 6, rng);
+  ASSERT_TRUE(session.repartition().used_vcycle);
+  EXPECT_EQ(counter.builds(), 0);
+
+  for (std::int32_t crossing = 0; crossing < 2; ++crossing) {
+    // Down: a few net edits, then one module fewer than the threshold.
+    (void)apply_eco_edits(applier, session.netlist(), names,
+                          "down" + std::to_string(crossing), 6, rng);
+    EditOp remove;
+    remove.kind = EditOpKind::kRemoveModule;
+    remove.module_a = 17 + crossing;
+    applier.apply({remove});
+    const RepartitionResult flat = session.repartition();
+    ASSERT_FALSE(flat.used_vcycle) << "crossing " << crossing;
+    ASSERT_FALSE(flat.warm_started) << "crossing " << crossing;
+    EXPECT_GT(flat.ig_rows_rebuilt, 0) << "crossing " << crossing;
+    EXPECT_EQ(counter.builds(), crossing + 1);
+    expect_igs_identical(session.intersection_graph(),
+                         intersection_graph(session.hypergraph()));
+    const IgMatchResult want = igmatch_partition(session.hypergraph());
+    EXPECT_EQ(flat.nets_cut, want.nets_cut);
+    EXPECT_EQ(flat.ratio, want.ratio);
+    EXPECT_EQ(flat.lambda2, want.lambda2);
+    expect_partitions_equal(flat.partition, want.partition);
+    if (::testing::Test::HasFatalFailure()) return;
+
+    // Up again: the V-cycle epoch drops the IG.
+    (void)apply_eco_edits(applier, session.netlist(), names,
+                          "up" + std::to_string(crossing), 3, rng);
+    applier.apply({EditOp{}});  // add-module
+    const RepartitionResult back = session.repartition();
+    ASSERT_TRUE(back.used_vcycle) << "crossing " << crossing;
+    EXPECT_EQ(back.ig_rows_rebuilt, 0);
+  }
+  EXPECT_EQ(counter.builds(), 2);
+}
+
+// A session that imports another's exported warm state (the server's cache
+// hit path) holds no IG; its first warm step builds one from the imported
+// netlist and must take exactly the exporter's own warm step.
+TEST(RepartPropertyTest, ImportedWarmStateReplaysTheExportersWarmStep) {
+  GeneratorConfig config;
+  config.name = "repart-import-warm";
+  config.num_modules = 1000;
+  config.num_nets = 1200;
+  const Hypergraph h = generate_circuit(config).hypergraph;
+  RepartitionOptions options;
+  options.sweep_window = 4;  // keep the perturbed-region mask narrow
+
+  RepartitionSession exporter(h, options);
+  EditScriptApplier exporter_applier(exporter.netlist());
+  (void)exporter.repartition();
+  RepartitionSession importer(exporter.hypergraph(), options);
+  EditScriptApplier importer_applier(importer.netlist());
+  importer.import_warm_state(exporter.export_warm_state());
+
+  Xoshiro256 rng(9001);
+  std::vector<std::string> names = default_names(h);
+  importer_applier.apply(apply_eco_edits(exporter_applier, exporter.netlist(),
+                                         names, "eco", 6, rng));
+  const RepartitionResult want = exporter.repartition();
+  const RepartitionResult got = importer.repartition();
+  ASSERT_TRUE(want.warm_started);
+  ASSERT_TRUE(got.warm_started);
+  EXPECT_LT(want.sweep_ranks_evaluated, want.sweep_ranks_total)
+      << "the edit must exercise the masked sweep";
+  EXPECT_EQ(got.sweep_ranks_evaluated, want.sweep_ranks_evaluated);
+  EXPECT_EQ(got.ig_rows_rebuilt, want.ig_rows_rebuilt);
+  EXPECT_EQ(got.lanczos_iterations, want.lanczos_iterations);
+  EXPECT_EQ(got.nets_cut, want.nets_cut);
+  EXPECT_EQ(got.ratio, want.ratio);
+  EXPECT_EQ(got.used_previous_partition, want.used_previous_partition);
+  expect_partitions_equal(got.partition, want.partition);
+}
+
+/// The name resolution EditScriptApplier used before handles: one name per
+/// current net id, found by linear search and erased on removal.  Kept as
+/// the oracle for the handle table.
+class NaiveNameApplier {
+ public:
+  explicit NaiveNameApplier(EditableNetlist& netlist) : netlist_(netlist) {
+    for (std::int32_t n = 0; n < netlist.num_nets(); ++n)
+      names_.push_back("n" + std::to_string(n));
+  }
+
+  void apply(const EditOp& op) {
+    switch (op.kind) {
+      case EditOpKind::kAddNet:
+        if (find(op.net_name) >= 0)
+          throw std::invalid_argument("duplicate net name");
+        (void)netlist_.add_net(op.pins);
+        names_.push_back(op.net_name);
+        break;
+      case EditOpKind::kRemoveNet: {
+        const NetId id = resolve(op.net_name);
+        netlist_.remove_net(id);
+        names_.erase(names_.begin() + id);
+        break;
+      }
+      case EditOpKind::kAddModule:
+        netlist_.add_module();
+        break;
+      case EditOpKind::kRemoveModule:
+        netlist_.remove_module(op.module_a);
+        break;
+      case EditOpKind::kMovePin:
+        netlist_.move_pin(resolve(op.net_name), op.module_a, op.module_b);
+        break;
+    }
+  }
+
+  [[nodiscard]] NetId find(const std::string& name) const {
+    const auto it = std::find(names_.begin(), names_.end(), name);
+    return it == names_.end() ? -1 : static_cast<NetId>(it - names_.begin());
+  }
+
+ private:
+  NetId resolve(const std::string& name) const {
+    const NetId id = find(name);
+    if (id < 0) throw std::invalid_argument("unknown net name");
+    return id;
+  }
+
+  EditableNetlist& netlist_;
+  std::vector<std::string> names_;
+};
+
+void expect_netlists_equal(const EditableNetlist& got,
+                           const EditableNetlist& want) {
+  ASSERT_EQ(got.num_modules(), want.num_modules());
+  ASSERT_EQ(got.num_nets(), want.num_nets());
+  for (NetId n = 0; n < got.num_nets(); ++n) {
+    const auto gp = got.pins(n);
+    const auto wp = want.pins(n);
+    ASSERT_TRUE(std::equal(gp.begin(), gp.end(), wp.begin(), wp.end()))
+        << "net " << n;
+  }
+}
+
+/// Which exception an op threw: 0 none, 1 invalid_argument, 2 out_of_range.
+template <typename Fn>
+int outcome_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument&) {
+    return 1;
+  } catch (const std::out_of_range&) {
+    return 2;
+  }
+  return 0;
+}
+
+// The handle table must resolve every name exactly as the naive oracle
+// does, through removals, re-added names, duplicate names and names that
+// only look like default ones.
+TEST(RepartPropertyTest, HandleApplierMatchesNaiveNameOracle) {
+  std::int32_t removals = 0, readds = 0, duplicates = 0;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    const Hypergraph h = small_circuit(seed);
+    EditableNetlist got(h);
+    EditableNetlist want(h);
+    EditScriptApplier applier(got);
+    NaiveNameApplier oracle(want);
+    const std::int32_t m0 = h.num_nets();
+    std::vector<std::string> pool;
+    for (std::int32_t n = 0; n < m0 + 3; ++n)
+      pool.push_back("n" + std::to_string(n));
+    for (const char* odd : {"x0", "x1", "x2", "n", "n07", "n-1", "n+1",
+                            "n99999999999", "N3"})
+      pool.emplace_back(odd);
+
+    Xoshiro256 rng(seed * 31337 + 1);
+    std::vector<std::string> removed;
+    for (std::int32_t step = 0; step < 400; ++step) {
+      EditOp op;
+      const auto pick = [&] {
+        return pool[static_cast<std::size_t>(
+            rng.below(static_cast<std::uint64_t>(pool.size())))];
+      };
+      const std::int32_t n = want.num_modules();
+      switch (rng.below(10)) {
+        case 0:
+        case 1:
+        case 2: {  // add-net: a pool name, often a removed one
+          op.kind = EditOpKind::kAddNet;
+          op.net_name = !removed.empty() && rng.below(2) == 0
+                            ? removed[static_cast<std::size_t>(rng.below(
+                                  static_cast<std::uint64_t>(removed.size())))]
+                            : pick();
+          for (std::int32_t p = 0; p < 3; ++p)
+            op.pins.push_back(static_cast<ModuleId>(
+                rng.below(static_cast<std::uint64_t>(n))));
+          break;
+        }
+        case 3:
+        case 4:
+        case 5:
+          op.kind = EditOpKind::kRemoveNet;
+          op.net_name = pick();
+          break;
+        case 6:
+          op.kind = rng.below(2) == 0 ? EditOpKind::kAddModule
+                                      : EditOpKind::kRemoveModule;
+          op.module_a = static_cast<ModuleId>(
+              rng.below(static_cast<std::uint64_t>(n)));
+          if (op.kind == EditOpKind::kRemoveModule && n <= 16)
+            op.kind = EditOpKind::kAddModule;
+          break;
+        default: {  // move-pin, from a real pin when the name is live
+          op.kind = EditOpKind::kMovePin;
+          op.net_name = pick();
+          const NetId id = oracle.find(op.net_name);
+          op.module_a = static_cast<ModuleId>(
+              rng.below(static_cast<std::uint64_t>(n)));
+          if (id >= 0 && !want.pins(id).empty()) {
+            const auto pins = want.pins(id);
+            op.module_a = pins[static_cast<std::size_t>(
+                rng.below(static_cast<std::uint64_t>(pins.size())))];
+          }
+          op.module_b = static_cast<ModuleId>(
+              rng.below(static_cast<std::uint64_t>(n)));
+          break;
+        }
+      }
+      const bool live_before = oracle.find(op.net_name) >= 0;
+      const int want_outcome = outcome_of([&] { oracle.apply(op); });
+      const int got_outcome = outcome_of([&] { applier.apply({op}); });
+      ASSERT_EQ(got_outcome, want_outcome)
+          << "seed " << seed << " step " << step << " name " << op.net_name;
+      if (op.kind == EditOpKind::kRemoveNet && want_outcome == 0) {
+        ++removals;
+        removed.push_back(op.net_name);
+      }
+      if (op.kind == EditOpKind::kAddNet && want_outcome == 0 &&
+          std::find(removed.begin(), removed.end(), op.net_name) !=
+              removed.end())
+        ++readds;
+      if (op.kind == EditOpKind::kAddNet && live_before) {
+        EXPECT_EQ(want_outcome, 1);
+        ++duplicates;
+      }
+      expect_netlists_equal(got, want);
+      if (::testing::Test::HasFatalFailure()) {
+        ADD_FAILURE() << "seed " << seed << " step " << step;
+        return;
+      }
+    }
+  }
+  // The scripts must reach every path the table has.
+  EXPECT_GT(removals, 100);
+  EXPECT_GT(readds, 20);
+  EXPECT_GT(duplicates, 20);
 }
 
 TEST(RepartPropertyTest, EditApiValidation) {
