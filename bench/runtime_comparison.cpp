@@ -113,17 +113,6 @@ void BM_FiedlerBlockLanczos(benchmark::State& state) {
 }
 BENCHMARK(BM_FiedlerBlockLanczos)->Unit(benchmark::kMillisecond);
 
-void BM_FiedlerInverseIteration(benchmark::State& state) {
-  // Alternative eigensolver backend (projected-CG inverse iteration) on
-  // the same Test05 intersection-graph Laplacian as BM_FiedlerIntersectionGraph.
-  const Hypergraph& h = circuit("Test05");
-  const linalg::CsrMatrix q = intersection_graph(h).laplacian();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::fiedler_pair_inverse_iteration(q));
-  }
-}
-BENCHMARK(BM_FiedlerInverseIteration)->Unit(benchmark::kMillisecond);
-
 /// Theorem 6 scaling: the full IG-Match split sweep (incremental matching
 /// + Phase I/II per split) over generated circuits of growing size.  The
 /// claimed bound is O(|V| * (|V| + |E|)) over ALL splits.

@@ -2,8 +2,9 @@
 """Gate a bench run against a committed baseline.
 
 Compares two BENCH_*.json files (as written by bench/repartition.cpp,
-bench/scaling.cpp, bench/serving.cpp) and fails when a named key regresses
-by more than the allowed percentage, or when a required boolean is false.
+bench/scaling.cpp, bench/kernels.cpp, bench/vcycle.cpp) and fails when a
+named key regresses by more than the allowed percentage, or when a required
+boolean is false.
 
 Usage:
   bench_gate.py BASELINE CANDIDATE [--key NAME:DIR:PCT]... [--require-true NAME]...

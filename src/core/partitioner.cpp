@@ -56,10 +56,9 @@ PartitionResult run_partitioner(const Hypergraph& h,
       // Production cold path: above the threshold the flat spectral
       // pipeline (full-graph Lanczos + the full m-1 sweep) is replaced by
       // the multilevel V-cycle, which runs IG-Match only on the coarsest
-      // instance.  Callers holding a prebuilt IG want the flat sweep that
-      // consumes it, so the switch defers to them.
+      // instance.
       if (config.algorithm == Algorithm::kIgMatch &&
-          config.prebuilt_ig == nullptr && config.vcycle_threshold > 0 &&
+          config.vcycle_threshold > 0 &&
           h.num_modules() >= config.vcycle_threshold) {
         MultilevelOptions options;
         options.coarsen_to = config.multilevel_coarsen_to;
@@ -78,7 +77,6 @@ PartitionResult run_partitioner(const Hypergraph& h,
       options.weighting = config.weighting;
       options.lanczos = config.lanczos;
       options.threshold_net_size = config.threshold_net_size;
-      options.prebuilt_ig = config.prebuilt_ig;
       options.recursive = config.algorithm == Algorithm::kIgMatchRecursive;
       const IgMatchResult r = igmatch_partition(h, options);
       out.partition = r.partition;

@@ -53,11 +53,6 @@ struct PartitionerConfig {
   double igvote_threshold = 0.5;
   /// Section 5 thresholding speedup for the IG eigenvector (0 = off).
   std::int32_t threshold_net_size = 0;
-  /// Optional prebuilt intersection graph for the igmatch* algorithms
-  /// (must match the input's net count and `weighting`); the incremental
-  /// repartitioning session maintains one across netlist edits.  Ignored
-  /// by every other algorithm.
-  const WeightedGraph* prebuilt_ig = nullptr;
   /// kMultilevel: stop coarsening at this many modules (instances within
   /// the engine's direct-solve pair budget stop earlier).
   std::int32_t multilevel_coarsen_to = 8;

@@ -85,7 +85,6 @@ bool refine_recursively(const Hypergraph& h,
   sub_options.recursive = options.recursion_depth > 1;
   sub_options.recursion_depth = options.recursion_depth - 1;
   sub_options.record_splits = false;
-  sub_options.prebuilt_ig = nullptr;  // the sub-hypergraph has its own IG
   const IgMatchResult sub_result = igmatch_partition(sub, sub_options);
   if (!sub_result.partition.is_proper()) return false;
 
@@ -123,8 +122,6 @@ IgMatchResult igmatch_with_ordering(const Hypergraph& h,
     trivial.partition = Partition(h.num_modules(), Side::kLeft);
     return trivial;
   }
-  if (options.prebuilt_ig != nullptr)
-    return igmatch_sweep(h, *options.prebuilt_ig, net_order, {}, options);
   const WeightedGraph ig = intersection_graph(h, options.weighting);
   return igmatch_sweep(h, ig, net_order, {}, options);
 }
@@ -293,11 +290,7 @@ IgMatchResult igmatch_partition(const Hypergraph& h,
     return trivial;
   }
   // One IG feeds both the ordering and the sweep.
-  WeightedGraph built;
-  if (options.prebuilt_ig == nullptr)
-    built = intersection_graph(h, options.weighting);
-  const WeightedGraph& ig =
-      options.prebuilt_ig != nullptr ? *options.prebuilt_ig : built;
+  const WeightedGraph ig = intersection_graph(h, options.weighting);
   const NetOrdering ordering = spectral_net_ordering_of_ig(
       h, ig, options.lanczos, options.threshold_net_size);
   IgMatchResult result = igmatch_sweep(h, ig, ordering.order, {}, options);

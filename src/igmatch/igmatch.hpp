@@ -52,12 +52,6 @@ struct IgMatchOptions {
   /// cores; refining only the single winner is often a no-op because its
   /// core is tiny).
   std::int32_t recursive_candidates = 8;
-  /// Optional prebuilt intersection graph of the input hypergraph (must
-  /// match its net count and the configured weighting); skips the IG build
-  /// in both the ordering and the sweep.  The incremental repartitioning
-  /// pipeline maintains one across edits.  Not propagated into recursive
-  /// completions (their sub-hypergraphs need their own IGs).
-  const WeightedGraph* prebuilt_ig = nullptr;
 };
 
 /// Per-split record (filled when record_splits is set).
@@ -86,7 +80,7 @@ struct IgMatchResult {
                                               const IgMatchOptions& options = {});
 
 /// Run the sweep from an explicit net ordering (a permutation of the net
-/// ids), building the IG unless `options.prebuilt_ig` supplies it.
+/// ids), building the IG.
 /// `igmatch_partition` instead hands the IG it built for the spectral
 /// ordering straight to `igmatch_sweep`, so one IG serves both.
 [[nodiscard]] IgMatchResult igmatch_with_ordering(

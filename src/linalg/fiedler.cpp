@@ -7,8 +7,6 @@
 #include <utility>
 
 #include "linalg/block_lanczos.hpp"
-#include "linalg/cg.hpp"
-#include "linalg/vector_ops.hpp"
 #include "obs/metrics.hpp"
 
 namespace netpart::linalg {
@@ -51,60 +49,6 @@ FiedlerResult fiedler_pair(const CsrMatrix& q, const LanczosOptions& options) {
   out.residual = lr.residual;
   out.converged = lr.converged;
   NETPART_GAUGE_SET("fiedler.lambda2", out.lambda2);
-  return out;
-}
-
-FiedlerResult fiedler_pair_inverse_iteration(
-    const CsrMatrix& q, const InverseIterationOptions& options) {
-  NETPART_SPAN("inverse-iteration");
-  const std::int32_t n = q.dim();
-  if (n < 1) throw std::invalid_argument("fiedler_pair: empty Laplacian");
-
-  FiedlerResult out;
-  if (n == 1) {
-    out.vector.assign(1, 0.0);
-    out.converged = true;
-    return out;
-  }
-
-  const std::vector<std::vector<double>> deflation{std::vector<double>(
-      static_cast<std::size_t>(n),
-      1.0 / std::sqrt(static_cast<double>(n)))};
-  const double anorm = std::max(q.inf_norm(), 1.0);
-  const double bound = options.tolerance * anorm;
-
-  std::vector<double> x(static_cast<std::size_t>(n));
-  fill_random(x, options.seed);
-  for (const auto& d : deflation) orthogonalize_against(x, d);
-  if (normalize(x) == 0.0) {
-    out.converged = n <= 1;
-    return out;
-  }
-
-  CgOptions cg;
-  cg.max_iterations = options.cg_max_iterations;
-  cg.tolerance = options.cg_tolerance;
-
-  std::vector<double> y(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> qx(static_cast<std::size_t>(n));
-  for (std::int32_t it = 0; it < options.max_iterations; ++it) {
-    out.lanczos_iterations = it + 1;  // reused as "outer iterations"
-    // y ~= Q^+ x in the complement; warm-started from the previous y.
-    conjugate_gradient(q, x, y, deflation, cg);
-    x = y;
-    for (const auto& d : deflation) orthogonalize_against(x, d);
-    if (normalize(x) == 0.0) break;
-
-    q.multiply(x, qx);
-    out.lambda2 = dot(x, qx);
-    axpy(-out.lambda2, x, qx);
-    out.residual = norm(qx);
-    if (out.residual <= bound) {
-      out.converged = true;
-      break;
-    }
-  }
-  out.vector = std::move(x);
   return out;
 }
 

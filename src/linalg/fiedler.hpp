@@ -31,27 +31,6 @@ struct FiedlerResult {
 [[nodiscard]] FiedlerResult fiedler_pair(const CsrMatrix& q,
                                          const LanczosOptions& options = {});
 
-/// Options for the inverse-iteration Fiedler backend.
-struct InverseIterationOptions {
-  std::int32_t max_iterations = 60;
-  /// Converged when ||Q x - theta x|| <= tolerance * max(inf_norm(Q), 1).
-  double tolerance = 1e-8;
-  std::uint64_t seed = 0x1417EEDULL;
-  /// Inner projected-CG solve settings; its tolerance is relative per
-  /// solve and can be loose (inverse iteration self-corrects).
-  std::int32_t cg_max_iterations = 1500;
-  double cg_tolerance = 1e-6;
-};
-
-/// Alternative Fiedler backend: inverse iteration x <- Q^+ x in the
-/// complement of the ones vector, with each application of Q^+ computed by
-/// projected conjugate gradients (cg.hpp).  Converges at rate lambda2 /
-/// lambda3 per step — fast when the spectral gap is healthy, slower than
-/// Lanczos when lambda2 is nearly degenerate.  Exists as a cross-check and
-/// a comparison point for the runtime experiments.
-[[nodiscard]] FiedlerResult fiedler_pair_inverse_iteration(
-    const CsrMatrix& q, const InverseIterationOptions& options = {});
-
 /// Indices 0..n-1 sorted by ascending eigenvector component, ties broken by
 /// index so the ordering is fully deterministic.
 [[nodiscard]] std::vector<std::int32_t> sorted_order(

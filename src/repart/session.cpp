@@ -126,7 +126,6 @@ RepartitionResult RepartitionSession::repartition() {
 
   const std::int32_t m = h_.num_nets();
   RepartitionResult out;
-  out.sweep_ranks_total = std::max(0, m - 1);
   if (!vcycle) {
     if (edited) {
       inc_ig_->update(h_, changes);
@@ -188,6 +187,7 @@ RepartitionResult RepartitionSession::repartition() {
   const IgMatchResult sweep =
       igmatch_sweep(h_, *ig_, ordering.order, mask, igmatch);
 
+  out.sweep_ranks_total = m - 1;
   out.sweep_ranks_evaluated = out.sweep_ranks_total;
   if (!mask.empty()) {
     std::int32_t count = 0;

@@ -105,6 +105,9 @@ struct RepartitionResult {
   bool used_vcycle = false;
   /// V-cycle path: constrained cycles that strictly improved the ratio.
   std::int32_t vcycles_run = 0;
+  /// Split ranks the flat sweep evaluated, of the m - 1 it could.  Both
+  /// stay 0 when no sweep ran: on the V-cycle path and on a netlist with
+  /// fewer than two nets or modules.
   std::int32_t sweep_ranks_evaluated = 0;
   std::int32_t sweep_ranks_total = 0;
   /// Intersection-graph rows rebuilt / reused by this run's delta update.

@@ -6,10 +6,10 @@
 #include "server/protocol.hpp"
 
 /// \file client.hpp
-/// Minimal blocking client for the netpartd protocol, shared by netpartc,
-/// the server tests, and the serving bench.  One request line out, one
-/// response line back; errors are reported through return values
-/// (`last_error()`), never thrown.
+/// Minimal blocking client for the netpartd protocol, shared by netpartc
+/// and the server tests.  One request line out, one response line back;
+/// errors are reported through return values (`last_error()`), never
+/// thrown.
 
 namespace netpart::server {
 

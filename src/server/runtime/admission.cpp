@@ -7,7 +7,7 @@ namespace netpart::server::runtime {
 namespace {
 
 /// Retry-after fallback when a class has no service-time samples yet;
-/// rough medians from the serving bench, safe to overestimate.
+/// rough service-time medians, safe to overestimate.
 constexpr double kDefaultServiceMs[kNumClasses] = {1.0, 25.0, 150.0};
 
 constexpr std::size_t index(RequestClass c) {

@@ -96,8 +96,8 @@ const char* class_label(std::size_t i) {
 
 /// Class occupancy bounds from the options: explicit values win, zeros
 /// derive from queue_capacity so one flag scales the whole admission
-/// surface.  hit_pending *is* queue_capacity — at 1 lane with admission on,
-/// hit-class backpressure behaves exactly like the legacy bounded queue.
+/// surface.  hit_pending *is* queue_capacity — at 1 lane, hit-class
+/// backpressure is one bounded queue of that capacity.
 runtime::AdmissionLimits derive_limits(const ServerOptions& o) {
   runtime::AdmissionLimits l;
   l.hit_pending = std::max<std::size_t>(1, o.queue_capacity);
@@ -158,7 +158,7 @@ std::array<StageSpan, obs::kNumStages> stage_spans(
   return out;
 }
 
-/// Structured shed response: the legacy `overloaded` error plus top-level
+/// Structured shed response: the `overloaded` error plus top-level
 /// `class` and `retry_after_ms` fields clients can back off on.
 std::string overloaded_response(std::int64_t id, runtime::RequestClass cls,
                                 std::int64_t retry_after_ms) {
@@ -572,33 +572,19 @@ void Server::enqueue(const std::shared_ptr<Conn>& conn, Request req,
     item->trace.span_id = obs::generate_span_id();
   }
 
-  // Classify unconditionally: even with --no-admission the class labels
-  // the access log and the per-class latency windows.
   item->cls = classify(item->req);
-  const bool shed =
-      options_.admission_control
-          ? !admission_.try_admit(item->cls)
-          : pool_.total_depth() >=
-                static_cast<std::int64_t>(options_.queue_capacity);
+  const bool shed = !admission_.try_admit(item->cls);
   item->clock.mark(obs::Stage::kAdmission);
   if (shed) {
     rejected_overload_.fetch_add(1, std::memory_order_relaxed);
     NETPART_COUNTER_ADD("server.rejected_overload", 1);
-    std::string response;
-    if (options_.admission_control) {
-      if (item->cls == runtime::RequestClass::kCold)
-        NETPART_COUNTER_ADD("server.shed_cold", 1);
-      if (item->cls == runtime::RequestClass::kWarm)
-        NETPART_COUNTER_ADD("server.shed_warm", 1);
-      response = overloaded_response(item->req.id, item->cls,
-                                     admission_.retry_after_ms(item->cls));
-    } else {
-      // Legacy single-bound backpressure: every class shares one queue cap.
-      response = error_response(item->req.id, "overloaded",
-                                "request queue is full; retry later");
-    }
+    if (item->cls == runtime::RequestClass::kCold)
+      NETPART_COUNTER_ADD("server.shed_cold", 1);
+    if (item->cls == runtime::RequestClass::kWarm)
+      NETPART_COUNTER_ADD("server.shed_warm", 1);
     item->outcome = obs::FlightOutcome::kShed;
-    finish(*item, std::move(response));
+    finish(*item, overloaded_response(item->req.id, item->cls,
+                                      admission_.retry_after_ms(item->cls)));
     return;
   }
 
@@ -613,8 +599,7 @@ void Server::enqueue(const std::shared_ptr<Conn>& conn, Request req,
 void Server::handle_item(QueueItem& item) {
   item.begin_ms = steady_now_ms();
   item.clock.mark(obs::Stage::kQueue);
-  const bool admitted = options_.admission_control;
-  if (admitted) admission_.on_start(item.cls);
+  admission_.on_start(item.cls);
   const double queue_wait_ms =
       static_cast<double>(item.begin_ms - item.enqueue_ms);
   NETPART_HISTOGRAM_RECORD("server.queue_wait_ms", queue_wait_ms);
@@ -634,7 +619,7 @@ void Server::handle_item(QueueItem& item) {
   if (item.deadline_ms > 0 && item.begin_ms > item.deadline_ms) {
     rejected_deadline_.fetch_add(1, std::memory_order_relaxed);
     NETPART_COUNTER_ADD("server.rejected_deadline", 1);
-    if (admitted) admission_.on_finish(item.cls, 0.0);
+    admission_.on_finish(item.cls, 0.0);
     item.end_ms = item.begin_ms;
     item.outcome = obs::FlightOutcome::kDeadline;
     finish(item, error_response(item.req.id, "deadline_exceeded",
@@ -731,7 +716,7 @@ void Server::handle_item(QueueItem& item) {
 
   item.end_ms = steady_now_ms();
   const double exec_ms = static_cast<double>(item.end_ms - item.begin_ms);
-  if (admitted) admission_.on_finish(item.cls, exec_ms);
+  admission_.on_finish(item.cls, exec_ms);
   NETPART_HISTOGRAM_RECORD("server.handle_ms", exec_ms);
   NETPART_ROLLING_RECORD("server.request_ms", exec_ms);
   {
@@ -1354,9 +1339,8 @@ std::string Server::do_stats(const Request& req) {
   }
   lanes_arr += ']';
 
-  std::string admission = "{\"enabled\":";
-  admission += options_.admission_control ? "true" : "false";
-  admission += ",\"hit\":";
+  // Admission is always on; `enabled` stays in the stats schema.
+  std::string admission = "{\"enabled\":true,\"hit\":";
   admission += admission_class_json(runtime::RequestClass::kHit);
   admission += ",\"warm\":";
   admission += admission_class_json(runtime::RequestClass::kWarm);

@@ -40,8 +40,7 @@
 /// classified cache-hit / warm-ECO / cold on the I/O thread and each class
 /// has its own occupancy bound, smallest for cold, so overload sheds the
 /// expensive class first.  Shed requests get a structured `overloaded`
-/// response carrying the class and a retry-after hint.  Setting
-/// `admission_control = false` restores the legacy single bounded queue.
+/// response carrying the class and a retry-after hint.
 /// Requests may carry a deadline; a lane rejects items whose deadline
 /// passed while queued (`deadline_exceeded`).  Graceful shutdown (SIGTERM /
 /// `shutdown` op / request_stop()) stops accepting, drains every lane —
@@ -62,14 +61,11 @@ struct ServerOptions {
   /// shared parallel runtime (responses stay bit-identical; see
   /// runtime/executor_pool.hpp).
   std::size_t executor_lanes = 1;
-  /// Class-aware admission control (hit/warm/cold occupancy bounds).
-  /// false = legacy behavior: one bounded FIFO over all classes.
-  bool admission_control = true;
-  /// Bounded request queue.  With admission control this is the hit-class
-  /// pending bound; without it, the single queue's capacity.
+  /// Pending bound for the hit class; the warm and cold bounds derive from
+  /// it unless set below.
   std::size_t queue_capacity = 64;
-  /// Occupancy slots for cold (from-scratch) work under admission control;
-  /// 0 = derive from queue_capacity (max(2, capacity/16)).
+  /// Occupancy slots for cold (from-scratch) work; 0 = derive from
+  /// queue_capacity (max(2, capacity/16)).
   std::size_t cold_slots = 0;
   /// Occupancy slots for warm-ECO work; 0 = derive (max(4, capacity/4)).
   std::size_t warm_slots = 0;

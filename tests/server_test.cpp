@@ -322,58 +322,48 @@ TEST(ServerTest, RepeatPartitionOnSameSessionIsIdempotent) {
   EXPECT_EQ(get_number(first, "ratio"), get_number(again, "ratio"));
 }
 
-// Both shed paths: admission control's per-class bound and the legacy
-// single queue bound (--no-admission).  Only admission's envelope carries
-// the `class` and `retry_after_ms` hints.
+// A full hit class sheds with the structured envelope: the `class` and
+// `retry_after_ms` hints clients back off on.
 TEST(ServerTest, BackpressureRejectsWithStructuredErrorWhenQueueFull) {
-  for (const bool admission : {true, false}) {
-    SCOPED_TRACE(admission ? "admission control" : "legacy queue bound");
-    ServerOptions options = test_options(unique_socket());
-    options.queue_capacity = 2;
-    options.admission_control = admission;
-    ServerFixture fixture(options);
-    Client blocker;
-    Client burst;
-    ASSERT_TRUE(blocker.connect(options.socket_path));
-    ASSERT_TRUE(burst.connect(options.socket_path));
+  ServerOptions options = test_options(unique_socket());
+  options.queue_capacity = 2;
+  ServerFixture fixture(options);
+  Client blocker;
+  Client burst;
+  ASSERT_TRUE(blocker.connect(options.socket_path));
+  ASSERT_TRUE(burst.connect(options.socket_path));
 
-    // Wedge the executor, give the I/O thread time to dequeue the sleep,
-    // then burst: 2 fit the queue, the rest must be rejected immediately.
-    ASSERT_TRUE(blocker.send_line(R"({"id":0,"op":"sleep","sleep_ms":400})"));
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    const int kBurst = 8;
-    for (int i = 1; i <= kBurst; ++i)
-      ASSERT_TRUE(burst.send_line(R"({"id":)" + std::to_string(i) +
-                                  R"(,"op":"ping"})"));
+  // Wedge the executor, give the I/O thread time to dequeue the sleep, then
+  // burst: 2 fit the queue, the rest must be rejected immediately.
+  ASSERT_TRUE(blocker.send_line(R"({"id":0,"op":"sleep","sleep_ms":400})"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const int kBurst = 8;
+  for (int i = 1; i <= kBurst; ++i)
+    ASSERT_TRUE(burst.send_line(R"({"id":)" + std::to_string(i) +
+                                R"(,"op":"ping"})"));
 
-    int overloaded = 0;
-    int ok = 0;
-    for (int i = 0; i < kBurst; ++i) {
-      std::string line;
-      ASSERT_TRUE(burst.read_line(line)) << burst.last_error();
-      JsonValue response;
-      std::string error;
-      ASSERT_TRUE(parse_json(line, response, error)) << line;
-      if (is_ok(response)) {
-        ++ok;
-      } else if (error_code(response) == "overloaded") {
-        ++overloaded;
-        if (admission) {
-          EXPECT_EQ(get_string(response, "class"), "hit") << line;
-          EXPECT_GE(get_number(response, "retry_after_ms"), 0.0) << line;
-        } else {
-          EXPECT_EQ(response.find("class"), nullptr) << line;
-          EXPECT_EQ(response.find("retry_after_ms"), nullptr) << line;
-        }
-      }
+  int overloaded = 0;
+  int ok = 0;
+  for (int i = 0; i < kBurst; ++i) {
+    std::string line;
+    ASSERT_TRUE(burst.read_line(line)) << burst.last_error();
+    JsonValue response;
+    std::string error;
+    ASSERT_TRUE(parse_json(line, response, error)) << line;
+    if (is_ok(response)) {
+      ++ok;
+    } else if (error_code(response) == "overloaded") {
+      ++overloaded;
+      EXPECT_EQ(get_string(response, "class"), "hit") << line;
+      EXPECT_GE(get_number(response, "retry_after_ms"), 0.0) << line;
     }
-    EXPECT_EQ(ok, 2);
-    EXPECT_EQ(overloaded, kBurst - 2);
-    EXPECT_EQ(fixture.server().stats().rejected_overload, kBurst - 2);
-
-    std::string sleep_response;
-    EXPECT_TRUE(blocker.read_line(sleep_response));
   }
+  EXPECT_EQ(ok, 2);
+  EXPECT_EQ(overloaded, kBurst - 2);
+  EXPECT_EQ(fixture.server().stats().rejected_overload, kBurst - 2);
+
+  std::string sleep_response;
+  EXPECT_TRUE(blocker.read_line(sleep_response));
 }
 
 TEST(ServerTest, QueueDeadlineExpiresWhileExecutorBusy) {

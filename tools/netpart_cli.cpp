@@ -226,19 +226,30 @@ int cmd_repartition(const std::string& input, const std::string& algorithm,
             << script.batches.size() << " edit batches from " << edits
             << "):\n"
             << "  initial   cut " << r.nets_cut << ", ratio "
-            << format_ratio(r.ratio) << " (cold, "
-            << r.lanczos_iterations << " Lanczos iters)\n";
+            << format_ratio(r.ratio) << " (";
+  if (r.used_vcycle)
+    std::cout << "cold V-cycle";
+  else
+    std::cout << "cold, " << r.lanczos_iterations << " Lanczos iters";
+  std::cout << ")\n";
   for (std::size_t i = 0; i < script.batches.size(); ++i) {
     applier.apply(script.batches[i]);
     r = session.repartition();
     std::cout << "  batch " << i + 1 << "   cut " << r.nets_cut << ", ratio "
-              << format_ratio(r.ratio) << " ("
-              << (r.warm_started ? "warm" : "cold") << ", "
-              << r.lanczos_iterations << " Lanczos iters, IG rows "
-              << r.ig_rows_rebuilt << " rebuilt / " << r.ig_rows_reused
-              << " reused, " << r.sweep_ranks_evaluated << "/"
-              << r.sweep_ranks_total << " splits"
-              << (r.used_previous_partition ? ", kept previous" : "")
+              << format_ratio(r.ratio) << " (";
+    // The V-cycle path runs no Lanczos, IG update or sweep, so it names
+    // itself instead of reporting their zero counts.
+    if (r.used_vcycle && r.warm_started)
+      std::cout << "warm V-cycle, " << r.vcycles_run << " improving cycles";
+    else if (r.used_vcycle)
+      std::cout << "cold V-cycle";
+    else
+      std::cout << (r.warm_started ? "warm" : "cold") << ", "
+                << r.lanczos_iterations << " Lanczos iters, IG rows "
+                << r.ig_rows_rebuilt << " rebuilt / " << r.ig_rows_reused
+                << " reused, " << r.sweep_ranks_evaluated << "/"
+                << r.sweep_ranks_total << " splits";
+    std::cout << (r.used_previous_partition ? ", kept previous" : "")
               << ")\n";
   }
   const Hypergraph& final_h = session.hypergraph();

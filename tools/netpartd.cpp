@@ -14,10 +14,8 @@
 ///   --pool-lanes <n>       executor lanes (default 1).  Sessions pin to
 ///                          lanes by name hash; responses stay
 ///                          bit-identical at any lane count
-///   --queue <n>            request-queue capacity (default 64); under
-///                          admission control this is the hit-class bound
-///   --no-admission         legacy backpressure: one bounded FIFO over all
-///                          classes instead of hit/warm/cold sheds
+///   --queue <n>            hit-class pending bound (default 64); the
+///                          warm and cold bounds derive from it
 ///   --cold-slots <n>       cold-class occupancy bound (0 = derive from
 ///                          --queue: max(2, queue/16))
 ///   --warm-slots <n>       warm-class occupancy bound (0 = derive:
@@ -64,7 +62,7 @@ namespace {
 void print_usage(std::ostream& os) {
   os << "usage: netpartd [--socket <path>] [--listen-tcp <host:port>]\n"
         "                [--pool-lanes <n>] [--queue <n>] [--cache <n>]\n"
-        "                [--no-admission] [--cold-slots <n>] [--warm-slots <n>]\n"
+        "                [--cold-slots <n>] [--warm-slots <n>]\n"
         "                [--idle-timeout <ms>] [--default-timeout <ms>]\n"
         "                [--max-frame <bytes>] [--threads <n>]\n"
         "                [--access-log <path>] [--slow-ms <ms>]\n"
@@ -130,8 +128,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--pool-lanes") {
       if (!value(n)) return 2;
       options.executor_lanes = static_cast<std::size_t>(n > 0 ? n : 1);
-    } else if (arg == "--no-admission") {
-      options.admission_control = false;
     } else if (arg == "--cold-slots") {
       if (!value(n)) return 2;
       options.cold_slots = static_cast<std::size_t>(n);
