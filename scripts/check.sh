@@ -29,8 +29,8 @@ fi
 # socket, drive a load/partition/cache-hit/metrics/stats sequence with
 # netpartc, check the `stats` telemetry (rolling percentiles, Prometheus
 # body, access log), the trace-context echo, the per-stage decomposition,
-# the flight recorder and the Chrome-trace request overlay, and shut it
-# down cleanly.
+# the flight recorder and the Chrome-trace request overlay, an inline CRLF
+# .hgr load and a refused /dev/null path load, and shut it down cleanly.
 server_smoke() {
   local bindir="$1"
   local sock="@netpart-check-$$-${bindir//\//-}"
@@ -116,6 +116,23 @@ json.dump(doc["trace"], open(sys.argv[2], "w"))
 EOF
   python3 scripts/validate_trace.py "$bindir/chrome-smoke.trace" \
     --min-events 1 --require-trace-id
+  # Inline .hgr with CRLF line ends and a '%' comment: the lane parses the
+  # request bytes in place, then partitions the netlist.
+  "$bindir/tools/netpartc" --socket "$sock" raw \
+    '{"id":13,"op":"load","session":"crlf","hgr":"% crlf netlist\r\n4 6\r\n1 2\r\n2 3 4\r\n4 5\r\n5 6\r\n"}' \
+    > "$bindir/crlf-smoke.json"
+  grep -q '"modules":6,"nets":4' "$bindir/crlf-smoke.json"
+  "$bindir/tools/netpartc" --socket "$sock" partition crlf
+  # A path load of a non-regular file is refused before the lane reads or
+  # waits on it, and the daemon keeps answering.
+  if "$bindir/tools/netpartc" --socket "$sock" raw \
+    '{"id":14,"op":"load","session":"devnull","path":"/dev/null"}' \
+    > "$bindir/devnull-smoke.json"; then
+    echo "path load of /dev/null was accepted"
+    return 1
+  fi
+  grep -q 'not a regular file' "$bindir/devnull-smoke.json"
+  "$bindir/tools/netpartc" --socket "$sock" ping
   "$bindir/tools/netpartc" --socket "$sock" shutdown
   wait "$pid"
   # Every executed request must have produced one parseable NDJSON line,

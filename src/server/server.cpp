@@ -946,8 +946,7 @@ std::string Server::do_load(const Request& req) {
   } else if (!req.path.empty()) {
     h = io::read_hgr_file(req.path);
   } else {
-    std::istringstream in(req.hgr);
-    h = io::read_hgr(in);
+    h = io::read_hgr(req.hgr);
   }
   const std::uint64_t hash = netlist_content_hash(h);
   const std::int32_t modules = h.num_modules();

@@ -129,6 +129,21 @@ TEST(IoEdgeCases, HgrNegativeHeaderRejected) {
   EXPECT_THROW(read_hgr(in), ParseError);
 }
 
+TEST(IoEdgeCases, HgrHeaderCountsAboveInt32Rejected) {
+  // An unchecked int32 cast wraps these to a 1-module netlist and to a
+  // negative count.
+  EXPECT_THROW(read_hgr(std::string_view("1 4294967297\n4294967297\n")),
+               ParseError);
+  EXPECT_THROW(read_hgr(std::string_view("1 2147483648\n1 2\n")),
+               ParseError);
+}
+
+TEST(IoEdgeCases, HgrLoneSignRejected) {
+  // Dropping the lone sign would leave net {0,1}, and an empty net.
+  EXPECT_THROW(read_hgr(std::string_view("1 3\n1 2 -\n")), ParseError);
+  EXPECT_THROW(read_hgr(std::string_view("1 3\n-\n")), ParseError);
+}
+
 TEST(IoEdgeCases, NetdHugeModuleCountParsesButStaysEmpty) {
   // Large module counts are legal (sparse designs); no nets is fine.
   std::istringstream in("modules 1000000\n");

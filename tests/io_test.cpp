@@ -1,8 +1,14 @@
 #include "io/netlist_io.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <cerrno>
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 namespace netpart::io {
 namespace {
@@ -65,6 +71,22 @@ TEST(HgrReader, RejectsVertexWeightFormatFlags) {
 TEST(HgrReader, RejectsBadNetWeight) {
   std::istringstream zero("1 2 1\n0 1 2\n");
   EXPECT_THROW(read_hgr(zero), ParseError);
+}
+
+TEST(HgrReader, ReadsNumbersByExtractionRules) {
+  // C-locale operator>> rules: any isspace before a number, an optional
+  // sign, leading zeros, no separator needed after a number.
+  const Hypergraph h =
+      read_hgr(std::string_view("%c\r\n2 4 +1\r\n3\v+1\f004\r\n7 2\t\v\n"));
+  ASSERT_EQ(h.num_nets(), 2);
+  EXPECT_EQ(h.net_weight(0), 3);
+  ASSERT_EQ(h.net_size(0), 2);
+  EXPECT_TRUE(h.contains(0, 0));
+  EXPECT_TRUE(h.contains(0, 3));
+  EXPECT_FALSE(h.contains(0, 1));
+  EXPECT_EQ(h.net_weight(1), 7);
+  EXPECT_TRUE(h.contains(1, 1));
+  EXPECT_THROW(read_hgr(std::string_view("1 4\n1-2\n")), ParseError);
 }
 
 TEST(HgrRoundTrip, WeightedWriteThenRead) {
@@ -172,6 +194,43 @@ TEST(PartitionIo, RejectsBadCharacter) {
 TEST(FileIo, MissingFileThrows) {
   EXPECT_THROW(read_hgr_file("/nonexistent/path/file.hgr"),
                std::runtime_error);
+}
+
+TEST(FileIo, NonRegularFilesAreRefused) {
+  // A device or directory is refused at open, before any byte is read.
+  // /dev/zero stays out of this test: a reader that does not refuse it
+  // reads until memory runs out.
+  for (const std::string path : {"/dev/null", "/"}) {
+    try {
+      (void)read_hgr_file(path);
+      ADD_FAILURE() << path << " was read";
+    } catch (const ParseError& e) {
+      ADD_FAILURE() << path << " was parsed: " << e.what();
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "cannot open " + path + ": not a regular file");
+    }
+  }
+}
+
+TEST(FileIo, FifoIsRefusedWithoutWaitingForAWriter) {
+  // No process ever opens this FIFO for writing, so a reader that waits
+  // for one hangs; ctest's TIMEOUT turns that into a failure.
+  const std::string path =
+      ::testing::TempDir() + "/netpart_io_test_" + std::to_string(::getpid()) +
+      ".fifo";
+  ::unlink(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
+  try {
+    (void)read_hgr_file(path);
+    ADD_FAILURE() << "FIFO was read";
+  } catch (const ParseError& e) {
+    ADD_FAILURE() << "FIFO was parsed: " << e.what();
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "cannot open " + path + ": not a regular file");
+  }
+  ::unlink(path.c_str());
 }
 
 TEST(FileIo, WriteAndReadBack) {

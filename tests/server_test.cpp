@@ -518,6 +518,39 @@ TEST(ServerTest, LoadFromInlineHgrAndHashMatchesContent) {
   EXPECT_EQ(error_code(bad), "parse_error");
 }
 
+TEST(ServerTest, LoadRejectsHeaderCountAboveInt32AsParseError) {
+  ServerFixture fixture(test_options(unique_socket()));
+  Client client;
+  ASSERT_TRUE(client.connect(fixture.server().options().socket_path));
+  // An unchecked int32 cast would load a 1-module netlist holding net {0}.
+  const JsonValue wrapped = rpc(
+      client,
+      R"({"id":1,"op":"load","session":"w","hgr":"1 4294967297\n4294967297\n"})");
+  EXPECT_EQ(error_code(wrapped), "parse_error");
+  // The same cast would make this count negative, a bad_request.
+  const JsonValue negative = rpc(
+      client,
+      R"({"id":2,"op":"load","session":"n","hgr":"1 2147483648\n1 2\n"})");
+  EXPECT_EQ(error_code(negative), "parse_error");
+}
+
+TEST(ServerTest, LoadByPathRefusesNonRegularFiles) {
+  ServerFixture fixture(test_options(unique_socket()));
+  Client client;
+  ASSERT_TRUE(client.connect(fixture.server().options().socket_path));
+  // A device, FIFO or directory is refused before the lane reads or waits
+  // on it, so /dev/null is not parsed as an empty .hgr.
+  const JsonValue refused = rpc(
+      client, R"({"id":1,"op":"load","session":"d","path":"/dev/null"})");
+  ASSERT_FALSE(is_ok(refused));
+  EXPECT_NE(error_code(refused), "parse_error");
+  const JsonValue* error = refused.find("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(get_string(*error, "message"),
+            "cannot open /dev/null: not a regular file");
+  EXPECT_TRUE(is_ok(rpc(client, R"({"id":2,"op":"ping"})")));
+}
+
 TEST(ServerTest, StatsOpReportsRollingLatencyPerOp) {
   ServerFixture fixture(test_options(unique_socket()));
   Client client;
