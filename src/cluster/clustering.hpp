@@ -13,11 +13,14 @@
 /// before applying the partitioning algorithm" (citing Bui et al. [3] and
 /// Lengauer [22]).
 ///
-/// The clustering is a heavy-edge matching on the clique-model connectivity
-/// between modules: each pass greedily pairs every unmatched module with
-/// its most strongly connected unmatched neighbour, then the hypergraph is
-/// contracted by merging each pair.  Repeating this roughly halves the
-/// instance per level (the coarsening half of a multilevel partitioner).
+/// Each coarsening level runs one heavy-edge clustering pass on the
+/// clique-model connectivity between modules: every unclustered module
+/// joins the neighbouring cluster it is most strongly connected to,
+/// optionally under a weight cap and a side or community constraint.  The
+/// hypergraph is then contracted by merging each cluster, with parallel
+/// coarse nets folded into one of summed weight so that any coarse cut
+/// equals the projected fine cut.  Repeating this is the coarsening half of
+/// the multilevel partitioner (cluster/multilevel.hpp).
 
 namespace netpart {
 
@@ -55,25 +58,7 @@ class Clustering {
   std::int32_t num_clusters_ = 0;
 };
 
-/// One pass of heavy-edge matching over the clique-model module
-/// connectivity: each module is paired with its most strongly connected
-/// unmatched neighbour (ties to the lower id), visiting modules in order of
-/// decreasing degree.  Unmatched modules stay singletons, so the result has
-/// between ceil(n/2) and n clusters.
-[[nodiscard]] Clustering heavy_edge_matching(const Hypergraph& h);
-
-/// Heavy-edge matching restricted to same-side pairs of `p` — the
-/// coarsening step of a multilevel V-cycle, which must preserve the
-/// current partition so it can be projected onto the coarse hypergraph.
-[[nodiscard]] Clustering heavy_edge_matching_within(const Hypergraph& h,
-                                                    const Partition& p);
-
-/// Contract a hypergraph by a clustering: pins map to cluster ids and are
-/// deduplicated; nets with fewer than 2 distinct clusters are dropped
-/// (they can never be cut at the coarse level).
-[[nodiscard]] Hypergraph contract(const Hypergraph& h, const Clustering& c);
-
-/// Controls for heavy_edge_clustering, the production coarsening matcher.
+/// Controls for heavy_edge_clustering.
 /// All constraints compose; empty spans / null pointers / zero limits mean
 /// "unconstrained".
 struct MatchingOptions {
@@ -91,12 +76,11 @@ struct MatchingOptions {
   /// natural module boundaries.
   std::span<const std::int32_t> communities = {};
   /// Nets larger than this contribute nothing to connectivity ratings
-  /// (0 = rate every net).  A k-pin net spreads weight 1/(k-1) per
-  /// neighbour, so huge nets cost O(k^2) rating work for negligible signal.
+  /// (0 = rate every net).  A k-pin net spreads weight w/(k-1) per
+  /// neighbour (w = net weight: coarse levels carry accumulated
+  /// multiplicities), so huge nets cost O(k^2) rating work for negligible
+  /// signal.
   std::int32_t rating_net_size_limit = 0;
-  /// Scale ratings by net weight (coarse levels carry accumulated
-  /// multiplicities); the legacy matchers pass false.
-  bool use_net_weights = true;
 };
 
 /// One heavy-edge clustering pass with dense-accumulator ratings: each
@@ -120,7 +104,9 @@ struct MatchingOptions {
     const Hypergraph& h, std::int32_t rounds, std::int32_t net_size_limit);
 
 /// A contraction with full bookkeeping, the substrate the multilevel
-/// invariant tests audit.  Unlike contract(), parallel coarse nets (same
+/// invariant tests audit.  Pins map to cluster ids and are deduplicated;
+/// nets left with fewer than 2 distinct clusters are dropped (they can
+/// never be cut at the coarse level), and parallel coarse nets (same
 /// deduplicated pin set) are merged with their weights accumulated, which
 /// is exactly what makes the coarse weighted cut equal the fine weighted
 /// cut of any projected partition.

@@ -88,8 +88,8 @@ struct IgMatchResult {
     const IgMatchOptions& options = {});
 
 /// The sweep core: like `igmatch_with_ordering`, but consumes a prebuilt
-/// intersection graph of `h` (the incremental repartitioning pipeline
-/// maintains one across edits) and an optional rank mask.  When `rank_mask`
+/// intersection graph of `h` (the one the spectral ordering was computed
+/// on) and an optional rank mask.  When `rank_mask`
 /// is non-empty it must have one entry per net; split rank r (1 <= r < m)
 /// is fully evaluated (Phase I classification + Phase II completion) only
 /// when rank_mask[r] != 0, and the matcher stops advancing past the last

@@ -14,8 +14,8 @@
 /// of small ECO-style edits against one evolving design.  EditableNetlist
 /// holds the pin lists in mutable form, applies the edit vocabulary
 /// (add/remove net, add/remove module, move pin), and journals exactly what
-/// changed so the incremental intersection-graph maintenance can rebuild
-/// only the touched rows.
+/// changed so a warm repartition can confine its sweep to the nets the
+/// batch touched and carry its cached vectors across the id remaps.
 ///
 /// Id discipline mirrors a from-scratch build: ids are dense, and removing
 /// a net (or module) shifts every higher id down by one — so a

@@ -14,17 +14,6 @@ RepartitionSession::RepartitionSession(const Hypergraph& initial,
                                        RepartitionOptions options)
     : options_(std::move(options)), editor_(initial), h_(initial) {}
 
-void RepartitionSession::build_ig() {
-  NETPART_COUNTER_ADD("repart.ig_builds", 1);
-  inc_ig_.emplace(h_, options_.weighting);
-}
-
-const WeightedGraph& RepartitionSession::intersection_graph() {
-  if (!inc_ig_) build_ig();
-  if (!ig_) ig_ = inc_ig_->snapshot(h_);
-  return *ig_;
-}
-
 SessionWarmState RepartitionSession::export_warm_state() const {
   SessionWarmState state;
   state.valid = cache_valid_;
@@ -67,15 +56,26 @@ std::vector<char> RepartitionSession::build_rank_mask(
   for (std::int32_t i = 0; i < m; ++i)
     pos[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])] = i;
 
-  // The perturbed region of the ordering: ranks of nets whose IG rows were
-  // rebuilt this batch (includes every net added since the cached epoch).
-  // Splits far from every edited net and from the previous winner are not
-  // re-evaluated — near-flat stretches of the Fiedler vector permute
-  // arbitrarily under any perturbation, so chasing ordering drift itself
-  // degenerates into a full sweep; the prev-partition quality guard in
-  // repartition() backstops anything a small mask misses.
-  for (const NetId a : inc_ig_->last_affected_nets())
-    mark(pos[static_cast<std::size_t>(a)] + 1);
+  // The perturbed region of the ordering: ranks of the nets the batch
+  // touched — dirty nets, nets with no preimage in the remap (every net
+  // added since the cached epoch), and every net incident to a dirty module
+  // (a degree change alters the 1/(d_k - 1) term of every IG edge through
+  // that module).  Splits far from every edited net and from the previous
+  // winner are not re-evaluated — near-flat stretches of the Fiedler vector
+  // permute arbitrarily under any perturbation, so chasing ordering drift
+  // itself degenerates into a full sweep; the prev-partition quality guard
+  // in repartition() backstops anything a small mask misses.
+  std::vector<char> affected(static_cast<std::size_t>(m), 1);
+  for (const std::int32_t id : changes.net_remap)
+    if (id >= 0) affected[static_cast<std::size_t>(id)] = 0;
+  for (const NetId a : changes.dirty_nets)
+    affected[static_cast<std::size_t>(a)] = 1;
+  for (const ModuleId k : changes.dirty_modules)
+    for (const NetId a : h_.nets_of(k))
+      affected[static_cast<std::size_t>(a)] = 1;
+  for (NetId a = 0; a < m; ++a)
+    if (affected[static_cast<std::size_t>(a)])
+      mark(pos[static_cast<std::size_t>(a)] + 1);
 
   // The neighbourhood of the previous winner is always worth re-checking.
   // Track its boundary nets through the remap so the window follows the
@@ -105,36 +105,13 @@ RepartitionResult RepartitionSession::repartition() {
   NETPART_COUNTER_ADD("repart.runs", 1);
 
   ChangeSet changes = editor_.drain_changes();
-  const bool edited = !changes.empty();
-  const std::int32_t n = editor_.num_modules();
-  const bool vcycle =
-      options_.vcycle_threshold > 0 && n >= options_.vcycle_threshold;
-  // Only the flat path reads the intersection graph.  A V-cycle epoch drops
-  // it; the flat path builds it on first use from h_, which is still the
-  // baseline `changes` refers to, and folds the batch in below — the same
-  // rows, affected set and snapshot as an IG maintained all along.
-  if (vcycle) {
-    inc_ig_.reset();
-    ig_.reset();
-  } else if (!inc_ig_) {
-    build_ig();
-  }
-  if (edited) {
+  if (!changes.empty()) {
     NETPART_SPAN("materialize");
     h_ = editor_.materialize();
   }
-
+  const std::int32_t n = editor_.num_modules();
   const std::int32_t m = h_.num_nets();
   RepartitionResult out;
-  if (!vcycle) {
-    if (edited) {
-      inc_ig_->update(h_, changes);
-      ig_.reset();
-    }
-    if (!ig_) ig_ = inc_ig_->snapshot(h_);
-    out.ig_rows_rebuilt = edited ? inc_ig_->last_rows_rebuilt() : 0;
-    out.ig_rows_reused = edited ? inc_ig_->last_rows_reused() : m;
-  }
 
   if (m < 2 || n < 2) {
     out.partition = Partition(n);
@@ -144,7 +121,13 @@ RepartitionResult RepartitionSession::repartition() {
     return out;
   }
 
-  if (vcycle) return repartition_vcycle(changes, std::move(out));
+  if (options_.vcycle_threshold > 0 && n >= options_.vcycle_threshold)
+    return repartition_vcycle(changes, std::move(out));
+
+  // Only the flat path reads the intersection graph, so only it builds one,
+  // from scratch, for this call alone.
+  NETPART_COUNTER_ADD("repart.ig_builds", 1);
+  const WeightedGraph ig = intersection_graph(h_, options_.weighting);
 
   // A warm start additionally requires the cache to be of the epoch the
   // journal's remap tables refer to (they always are when edits flow
@@ -169,7 +152,7 @@ RepartitionResult RepartitionSession::repartition() {
     NETPART_COUNTER_ADD("repart.cache_misses", 1);
   }
 
-  NetOrdering ordering = spectral_net_ordering_of_ig(h_, *ig_, lanczos, 0);
+  NetOrdering ordering = spectral_net_ordering_of_ig(h_, ig, lanczos, 0);
   out.lambda2 = ordering.lambda2;
   out.eigen_converged = ordering.eigen_converged;
   out.lanczos_iterations = ordering.lanczos_iterations;
@@ -185,7 +168,7 @@ RepartitionResult RepartitionSession::repartition() {
   igmatch.weighting = options_.weighting;
   igmatch.lanczos = options_.lanczos;
   const IgMatchResult sweep =
-      igmatch_sweep(h_, *ig_, ordering.order, mask, igmatch);
+      igmatch_sweep(h_, ig, ordering.order, mask, igmatch);
 
   out.sweep_ranks_total = m - 1;
   out.sweep_ranks_evaluated = out.sweep_ranks_total;

@@ -1,39 +1,35 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "cluster/multilevel.hpp"
 #include "graph/intersection_graph.hpp"
-#include "graph/weighted_graph.hpp"
 #include "hypergraph/hypergraph.hpp"
 #include "hypergraph/partition.hpp"
 #include "igmatch/igmatch.hpp"
 #include "linalg/lanczos.hpp"
 #include "repart/editable_netlist.hpp"
-#include "repart/incremental_ig.hpp"
 
 /// \file session.hpp
 /// The incremental repartitioning session: edits in, partitions out.
 ///
-/// A session owns one evolving netlist plus three caches that make the
-/// next `repartition()` cheap:
-///  - the incrementally maintained intersection graph (delta row rebuilds).
-///    Only the flat spectral path reads it, so it is built on the first
-///    flat-path repartition (or `intersection_graph()` call), not by the
-///    constructor; V-cycle runs and sessions answered from the server's
-///    result cache never build one, and a V-cycle run drops any left over
-///    from a flat epoch;
+/// A session owns one evolving netlist plus a warm-start cache that makes
+/// the next `repartition()` cheap:
 ///  - the previous run's Fiedler vector, fed back as the Lanczos warm
 ///    start.  It trims iterations rather than skipping them: bench/
 ///    repartition on a 4-CPU host measured a median of 224 warm
 ///    iterations against 304 cold at 12k modules, and 110 against 144 at
 ///    1 200 modules;
 ///  - the previous net ordering and winning split rank, used to restrict
-///    the IG-Match sweep to the *perturbed region* — ranks where the
-///    ordering actually moved, ranks of nets whose IG rows changed, and a
-///    window around the previous winner.
+///    the IG-Match sweep to the *perturbed region* — ranks of the nets the
+///    pending batch touched (see `build_rank_mask`) and a window around the
+///    previous winner.
+///
+/// The intersection graph is not cached: the flat spectral path builds it
+/// from the materialized netlist on every call, and the V-cycle path never
+/// builds one.  Caching does not pay: a from-scratch build costs about as
+/// much as patching a kept copy (docs/PERFORMANCE.md).
 ///
 /// Quality guard: the remapped previous partition is always evaluated as a
 /// candidate, so a warm repartition is never worse than carrying the old
@@ -59,8 +55,7 @@ struct RepartitionOptions {
   /// more thorough).
   double full_sweep_fraction = 0.6;
   /// Disable to make every repartition an exact cold run (no warm vector,
-  /// no mask, no previous-partition candidate) while still exercising the
-  /// incremental IG maintenance.
+  /// no mask, no previous-partition candidate).
   bool warm_start = true;
   /// Netlists with at least this many modules take the multilevel V-cycle
   /// path: cold runs replace the flat spectral pipeline with
@@ -110,10 +105,6 @@ struct RepartitionResult {
   /// fewer than two nets or modules.
   std::int32_t sweep_ranks_evaluated = 0;
   std::int32_t sweep_ranks_total = 0;
-  /// Intersection-graph rows rebuilt / reused by this run's delta update.
-  /// Both stay 0 on the V-cycle path, which keeps no intersection graph.
-  std::int32_t ig_rows_rebuilt = 0;
-  std::int32_t ig_rows_reused = 0;
 };
 
 class RepartitionSession {
@@ -132,10 +123,6 @@ class RepartitionSession {
   /// Current materialized hypergraph (as of the last repartition()).
   [[nodiscard]] const Hypergraph& hypergraph() const { return h_; }
 
-  /// Intersection graph of hypergraph(): the incrementally maintained
-  /// snapshot, built on demand when the session holds none.
-  [[nodiscard]] const WeightedGraph& intersection_graph();
-
   [[nodiscard]] const RepartitionOptions& options() const { return options_; }
 
   /// Snapshot the warm-start cache for reuse by another session over a
@@ -152,9 +139,8 @@ class RepartitionSession {
   void import_warm_state(SessionWarmState state);
 
  private:
-  /// Full IG build from h_ (counted as `repart.ig_builds`).
-  void build_ig();
-
+  /// Split ranks the warm sweep evaluates (empty = full sweep): a function
+  /// of the warm state, the netlist and the batch `changes` only.
   std::vector<char> build_rank_mask(const ChangeSet& changes,
                                     const std::vector<std::int32_t>& order);
 
@@ -166,9 +152,6 @@ class RepartitionSession {
   RepartitionOptions options_;
   EditableNetlist editor_;
   Hypergraph h_;
-  // Flat path only: the rows track h_, and ig_ is their snapshot.
-  std::optional<IncrementalIntersectionGraph> inc_ig_;
-  std::optional<WeightedGraph> ig_;
 
   // Warm-start cache (valid_ false until the first successful run).  The
   // V-cycle path needs only the previous partition, so it keys off

@@ -944,7 +944,14 @@ std::string Server::do_load(const Request& req) {
   if (!req.circuit.empty()) {
     h = make_benchmark(req.circuit).hypergraph;
   } else if (!req.path.empty()) {
-    h = io::read_hgr_file(req.path);
+    try {
+      h = io::read_hgr_file(req.path);
+    } catch (const io::ParseError&) {
+      throw;
+    } catch (const std::runtime_error& e) {
+      // The file could not be opened or read: the client named a bad path.
+      throw RequestError("bad_request", e.what());
+    }
   } else {
     h = io::read_hgr(req.hgr);
   }

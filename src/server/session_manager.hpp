@@ -16,10 +16,10 @@
 /// Named long-lived partitioning sessions held hot by the server.
 ///
 /// A session is the server-side unit of state reuse: one RepartitionSession
-/// (evolving netlist + lazily built incremental IG + warm spectral cache)
-/// plus an EditScriptApplier resolving the wire protocol's net names.  All
-/// session *mutation* happens on the one executor lane the session name pins
-/// to (runtime/executor_pool.hpp); the manager's lock only guards the
+/// (evolving netlist + warm spectral cache) plus an EditScriptApplier
+/// resolving the wire protocol's net names.  All session *mutation* happens
+/// on the one executor lane the session name pins to
+/// (runtime/executor_pool.hpp); the manager's lock only guards the
 /// name -> session map, which the I/O thread also touches for idle
 /// eviction.  Eviction of a session the executor is currently driving is
 /// safe — the executor holds a shared_ptr, so the session outlives the

@@ -166,13 +166,17 @@ TEST(ConstrainedMatching, NeverMergesAcrossSides) {
   const Hypergraph h = clustered_circuit("ml-constrained", 200);
   Partition p(200);
   for (ModuleId m = 100; m < 200; ++m) p.assign(m, Side::kRight);
-  const Clustering c = heavy_edge_matching_within(h, p);
+  MatchingOptions options;
+  options.constraint = &p;
+  const Clustering c = heavy_edge_clustering(h, options);
+  EXPECT_LT(c.num_clusters(), 200);
   for (ModuleId m = 0; m < 200; ++m)
     for (ModuleId other = 0; other < 200; ++other)
       if (other != m && c.cluster_of(m) == c.cluster_of(other))
         ASSERT_EQ(p.side(m), p.side(other));
-  EXPECT_THROW(heavy_edge_matching_within(h, Partition(5)),
-               std::invalid_argument);
+  const Partition wrong_size(5);
+  options.constraint = &wrong_size;
+  EXPECT_THROW((void)heavy_edge_clustering(h, options), std::invalid_argument);
 }
 
 TEST(Multilevel, RejectsBadOptions) {

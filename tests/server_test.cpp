@@ -539,16 +539,33 @@ TEST(ServerTest, LoadByPathRefusesNonRegularFiles) {
   Client client;
   ASSERT_TRUE(client.connect(fixture.server().options().socket_path));
   // A device, FIFO or directory is refused before the lane reads or waits
-  // on it, so /dev/null is not parsed as an empty .hgr.
-  const JsonValue refused = rpc(
-      client, R"({"id":1,"op":"load","session":"d","path":"/dev/null"})");
-  ASSERT_FALSE(is_ok(refused));
-  EXPECT_NE(error_code(refused), "parse_error");
-  const JsonValue* error = refused.find("error");
-  ASSERT_NE(error, nullptr);
-  EXPECT_EQ(get_string(*error, "message"),
-            "cannot open /dev/null: not a regular file");
-  EXPECT_TRUE(is_ok(rpc(client, R"({"id":2,"op":"ping"})")));
+  // on it, so /dev/null is not parsed as an empty .hgr.  A path that cannot
+  // be opened is the client's error, not the server's.
+  const std::pair<const char*, const char*> cases[] = {
+      {"/dev/null", "cannot open /dev/null: not a regular file"},
+      {"/", "cannot open /: not a regular file"},
+      {"/nonexistent/path/file.hgr",
+       "cannot open /nonexistent/path/file.hgr"}};
+  for (const auto& [path, message] : cases) {
+    const JsonValue refused =
+        rpc(client, R"({"id":1,"op":"load","session":"d","path":")" +
+                        std::string(path) + R"("})");
+    ASSERT_FALSE(is_ok(refused)) << path;
+    EXPECT_EQ(error_code(refused), "bad_request") << path;
+    const JsonValue* error = refused.find("error");
+    ASSERT_NE(error, nullptr) << path;
+    EXPECT_EQ(get_string(*error, "message"), message);
+  }
+  // A readable file that does not parse is still a parse error.
+  const std::string bad = ::testing::TempDir() + "/netpart_server_test_" +
+                          std::to_string(::getpid()) + ".hgr";
+  std::ofstream(bad) << "1 2\n1 3\n";
+  const JsonValue unparsed = rpc(
+      client, R"({"id":2,"op":"load","session":"d","path":")" + bad + R"("})");
+  std::remove(bad.c_str());
+  ASSERT_FALSE(is_ok(unparsed));
+  EXPECT_EQ(error_code(unparsed), "parse_error");
+  EXPECT_TRUE(is_ok(rpc(client, R"({"id":3,"op":"ping"})")));
 }
 
 TEST(ServerTest, StatsOpReportsRollingLatencyPerOp) {

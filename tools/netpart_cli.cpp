@@ -237,18 +237,17 @@ int cmd_repartition(const std::string& input, const std::string& algorithm,
     r = session.repartition();
     std::cout << "  batch " << i + 1 << "   cut " << r.nets_cut << ", ratio "
               << format_ratio(r.ratio) << " (";
-    // The V-cycle path runs no Lanczos, IG update or sweep, so it names
-    // itself instead of reporting their zero counts.
+    // The V-cycle path runs no Lanczos or sweep, so it names itself
+    // instead of reporting their zero counts.
     if (r.used_vcycle && r.warm_started)
       std::cout << "warm V-cycle, " << r.vcycles_run << " improving cycles";
     else if (r.used_vcycle)
       std::cout << "cold V-cycle";
     else
       std::cout << (r.warm_started ? "warm" : "cold") << ", "
-                << r.lanczos_iterations << " Lanczos iters, IG rows "
-                << r.ig_rows_rebuilt << " rebuilt / " << r.ig_rows_reused
-                << " reused, " << r.sweep_ranks_evaluated << "/"
-                << r.sweep_ranks_total << " splits";
+                << r.lanczos_iterations << " Lanczos iters, "
+                << r.sweep_ranks_evaluated << "/" << r.sweep_ranks_total
+                << " splits";
     std::cout << (r.used_previous_partition ? ", kept previous" : "")
               << ")\n";
   }
