@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Gate a bench run against a committed baseline.
 
-Compares two BENCH_*.json files (as written by bench/repartition.cpp,
-bench/scaling.cpp, bench/kernels.cpp, bench/vcycle.cpp) and fails when a
-named key regresses by more than the allowed percentage, or when a required
-boolean is false.
+Compares two BENCH_*.json files (as written by bench/scaling.cpp,
+bench/kernels.cpp, bench/vcycle.cpp) and fails when a named key regresses by
+more than the allowed percentage, or when a required boolean is false.
 
 Usage:
   bench_gate.py BASELINE CANDIDATE [--key NAME:DIR:PCT]... [--require-true NAME]...
@@ -55,9 +54,8 @@ def check_key(baseline, candidate, name, direction, pct):
     base, cand = float(baseline[name]), float(candidate[name])
     if base == 0.0:
         # A zero baseline carries no information to regress against (it is
-        # usually a degenerate recording, e.g. the isolated-module ratio-0
-        # runs the repartition bench used to commit).  Pass with a note so
-        # the next --update-baselines records a real value to gate on.
+        # usually a degenerate recording).  Pass with a note so the next
+        # --update-baselines records a real value to gate on.
         return True, f"{name}: baseline is 0 (no reference), candidate {cand:g}"
     change_pct = (cand - base) / abs(base) * 100.0
     if direction == "higher":

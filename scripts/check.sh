@@ -279,8 +279,8 @@ fi
 
 # ThreadSanitizer pass over the concurrency-sensitive binaries.  Only the
 # targets that exercise the pool, the shared metrics registry, and the
-# incremental repartitioning session (warm Lanczos restarts on the pool) are
-# built and run — a full TSan suite would be prohibitively slow.
+# incremental repartitioning session (IG builds, Lanczos and V-cycles on the
+# pool) are built and run — a full TSan suite would be prohibitively slow.
 # io_fuzz_test rides along for the exporters: to_prometheus/to_chrome_trace
 # must stay race-free against a live registry.
 cmake -B build-tsan -G Ninja -DNETPART_SANITIZE=thread \
@@ -307,7 +307,7 @@ for b in build/bench/*; do
   echo "==== $b ===="
   name="$(basename "$b")"
   case "$name" in
-    repartition|scaling|kernels|vcycle)
+    scaling|kernels|vcycle)
       step "bench/$name" "$b" "build/bench-out/BENCH_$name.json" ;;
     *)
       step "bench/$name" "$b" ;;
@@ -316,11 +316,6 @@ done
 
 # Regression gate: fail the check when a headline number slid by more than
 # the allowance (machines differ; correctness booleans get no allowance).
-if [ -f build/bench-out/BENCH_repartition.json ]; then
-  step "gate repartition" python3 scripts/bench_gate.py \
-    BENCH_repartition.json build/bench-out/BENCH_repartition.json \
-    --key speedup:higher:25 --key warm_final_ratio:lower:10
-fi
 if [ -f build/bench-out/BENCH_scaling.json ]; then
   step "gate scaling" python3 scripts/bench_gate.py \
     BENCH_scaling.json build/bench-out/BENCH_scaling.json \

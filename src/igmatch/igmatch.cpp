@@ -123,36 +123,21 @@ IgMatchResult igmatch_with_ordering(const Hypergraph& h,
     return trivial;
   }
   const WeightedGraph ig = intersection_graph(h, options.weighting);
-  return igmatch_sweep(h, ig, net_order, {}, options);
+  return igmatch_sweep(h, ig, net_order, options);
 }
 
 IgMatchResult igmatch_sweep(const Hypergraph& h, const WeightedGraph& ig,
                             std::span<const std::int32_t> net_order,
-                            std::span<const char> rank_mask,
                             const IgMatchOptions& options) {
   const std::int32_t m = h.num_nets();
   if (static_cast<std::int32_t>(net_order.size()) != m)
     throw std::invalid_argument("igmatch_with_ordering: order size mismatch");
   if (ig.num_vertices() != m)
     throw std::invalid_argument("igmatch_sweep: intersection graph mismatch");
-  if (!rank_mask.empty() && static_cast<std::int32_t>(rank_mask.size()) != m)
-    throw std::invalid_argument("igmatch_sweep: rank mask size mismatch");
 
   IgMatchResult result;
   result.partition = Partition(h.num_modules(), Side::kLeft);
   if (m < 2 || h.num_modules() < 2) return result;
-
-  // The matcher must advance through every rank up to the last one we
-  // evaluate; beyond that the sweep can stop outright.
-  std::int32_t last_rank = m - 1;
-  if (!rank_mask.empty()) {
-    last_rank = 0;
-    for (std::int32_t r = m - 1; r >= 1; --r)
-      if (rank_mask[static_cast<std::size_t>(r)]) {
-        last_rank = r;
-        break;
-      }
-  }
 
   DynamicBipartiteMatcher matcher(ig);
 
@@ -164,18 +149,13 @@ IgMatchResult igmatch_sweep(const Hypergraph& h, const WeightedGraph& ig,
   std::int32_t best_cut = 0;
   std::vector<std::pair<double, std::int32_t>> ratio_by_rank;  // for top-K
 
-  std::int32_t splits_evaluated = 0;
   {
     NETPART_SPAN("sweep");
-    for (std::int32_t r = 1; r <= last_rank; ++r) {
+    for (std::int32_t r = 1; r < m; ++r) {
       matcher.move_to_right(net_order[static_cast<std::size_t>(r - 1)]);
-      if (!rank_mask.empty() && !rank_mask[static_cast<std::size_t>(r)])
-        continue;
-      ++splits_evaluated;
       {
         // Phase I: winner/loser/core classification, as a delta against
-        // the previous evaluated split (skipped ranks accumulate into the
-        // same delta).
+        // the previous split.
         NETPART_SPAN("phase-1");
         matcher.classify_incremental(changes);
       }
@@ -207,16 +187,13 @@ IgMatchResult igmatch_sweep(const Hypergraph& h, const WeightedGraph& ig,
       }
     }
   }
-  NETPART_COUNTER_ADD("igmatch.splits_evaluated", splits_evaluated);
-  NETPART_COUNTER_ADD("igmatch.splits_skipped",
-                      static_cast<std::int64_t>(m - 1) - splits_evaluated);
+  NETPART_COUNTER_ADD("igmatch.splits_evaluated", m - 1);
   NETPART_COUNTER_ADD("igmatch.augmenting_searches",
                       matcher.augmenting_searches());
 
   if (best_fate.empty()) {
-    // No evaluated split admitted a proper wholesale completion (possible
-    // on tiny dense instances, or under a rank mask that skips every
-    // viable split).  Report +inf — never the default 0.0, which any
+    // No split admitted a proper wholesale completion (possible on tiny
+    // dense instances).  Report +inf — never the default 0.0, which any
     // ratio-minimizing caller would mistake for a perfect cut.
     result.ratio = std::numeric_limits<double>::infinity();
     return result;
@@ -256,7 +233,7 @@ IgMatchResult igmatch_sweep(const Hypergraph& h, const WeightedGraph& ig,
     // Second sweep, stopping at the candidate ranks to rebuild their fates.
     DynamicBipartiteMatcher replay(ig);
     SweepCutEvaluator replay_evaluator(h);
-    for (std::int32_t r = 1; r <= last_rank; ++r) {
+    for (std::int32_t r = 1; r < m; ++r) {
       replay.move_to_right(net_order[static_cast<std::size_t>(r - 1)]);
       if (!is_candidate[static_cast<std::size_t>(r)]) continue;
       replay.classify_incremental(changes);
@@ -293,8 +270,9 @@ IgMatchResult igmatch_partition(const Hypergraph& h,
   const WeightedGraph ig = intersection_graph(h, options.weighting);
   const NetOrdering ordering = spectral_net_ordering_of_ig(
       h, ig, options.lanczos, options.threshold_net_size);
-  IgMatchResult result = igmatch_sweep(h, ig, ordering.order, {}, options);
+  IgMatchResult result = igmatch_sweep(h, ig, ordering.order, options);
   result.lambda2 = ordering.lambda2;
+  result.lanczos_iterations = ordering.lanczos_iterations;
   result.eigen_converged = ordering.eigen_converged;
   NETPART_COUNTER_ADD("igmatch.runs", 1);
   NETPART_GAUGE_SET("igmatch.best_rank", result.best_rank);

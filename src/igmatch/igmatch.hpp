@@ -70,6 +70,7 @@ struct IgMatchResult {
   std::int32_t best_rank = 0;               ///< split that won
   std::int32_t matching_bound_at_best = 0;  ///< |MM| at the winning split
   double lambda2 = 0.0;                     ///< of Q'(G')
+  std::int32_t lanczos_iterations = 0;      ///< of the ordering's solve
   bool eigen_converged = false;
   bool refined_recursively = false;  ///< recursive completion improved it
   std::vector<IgMatchSplitRecord> splits;   ///< only if record_splits
@@ -89,18 +90,10 @@ struct IgMatchResult {
 
 /// The sweep core: like `igmatch_with_ordering`, but consumes a prebuilt
 /// intersection graph of `h` (the one the spectral ordering was computed
-/// on) and an optional rank mask.  When `rank_mask`
-/// is non-empty it must have one entry per net; split rank r (1 <= r < m)
-/// is fully evaluated (Phase I classification + Phase II completion) only
-/// when rank_mask[r] != 0, and the matcher stops advancing past the last
-/// masked rank.  Unmasked ranks still perform the O(1)-amortized matching
-/// repair, so the evaluated splits see exactly the state a full sweep would
-/// — restricting the mask trades global optimality of the sweep for time,
-/// never correctness of the evaluated splits.  An empty mask evaluates
-/// every rank (identical to `igmatch_with_ordering`).
+/// on).  Every split rank r (1 <= r < m) is evaluated.
 [[nodiscard]] IgMatchResult igmatch_sweep(
     const Hypergraph& h, const WeightedGraph& ig,
-    std::span<const std::int32_t> net_order, std::span<const char> rank_mask,
+    std::span<const std::int32_t> net_order,
     const IgMatchOptions& options = {});
 
 }  // namespace netpart

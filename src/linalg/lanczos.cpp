@@ -97,18 +97,7 @@ LanczosResult smallest_eigenpair(
   std::uint64_t seed = options.seed;
 
   std::vector<double> v(static_cast<std::size_t>(n));
-  bool started = false;
-  if (static_cast<std::int32_t>(options.initial_guess.size()) == n) {
-    // Warm start: take the caller's guess, cleaned against the deflation
-    // set.  A collapsed guess (e.g. one lying inside the deflated span)
-    // falls through to the random start below.
-    std::copy(options.initial_guess.begin(), options.initial_guess.end(),
-              v.begin());
-    reorthogonalize(v, deflation, basis);
-    started = normalize(v) > 1e-8;
-    NETPART_COUNTER_ADD("lanczos.warm_starts", started ? 1 : 0);
-  }
-  if (!started && !fresh_direction(v, seed, deflation, basis)) {
+  if (!fresh_direction(v, seed, deflation, basis)) {
     // Deflation spans the whole space: report the zero vector, eigenvalue 0.
     result.converged = free_dim <= 0;
     return result;

@@ -19,6 +19,11 @@
 /// iterations but is unconditionally robust against ghost eigenvalues; for
 /// the benchmark sizes here (n <= ~3300, k <= ~300) that is well under a
 /// second.
+///
+/// Every run starts from the seeded random direction, so a solve is a pure
+/// function of the matrix and the options.  Incremental repartitioning
+/// relies on that: a warm session's flat answer is bit-identical to a cold
+/// IG-Match run on the same netlist (repart/session.hpp).
 
 namespace netpart::linalg {
 
@@ -31,16 +36,6 @@ struct LanczosOptions {
   std::int32_t check_interval = 8;
   /// Seed of the deterministic starting vector.
   std::uint64_t seed = 0x9E3779B97F4A7C15ULL;
-  /// Warm-start vector: when non-empty and of matching dimension, the
-  /// iteration starts from this vector (orthogonalized against the
-  /// deflation set and normalized) instead of the seeded random direction.
-  /// A good guess — e.g. the converged eigenvector of a slightly perturbed
-  /// matrix, as the repartitioning cache provides — cuts the Krylov space
-  /// needed to re-converge from hundreds of dimensions to a handful.
-  /// Ignored (with a fallback to the random start) when the guess collapses
-  /// under orthogonalization.  Check interval 1 pays off for warm starts;
-  /// callers with a guess may want to lower check_interval accordingly.
-  std::vector<double> initial_guess;
 };
 
 /// Result of a Lanczos run.

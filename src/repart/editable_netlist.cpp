@@ -1,26 +1,27 @@
 #include "repart/editable_netlist.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace netpart::repart {
 
 namespace {
 
-/// Shift a baseline->current remap past the removal of current id `removed`.
-void shift_remap(std::vector<std::int32_t>& remap, std::int32_t removed) {
-  for (std::int32_t& id : remap) {
-    if (id == removed)
-      id = -1;
-    else if (id > removed)
-      --id;
-  }
+/// The identity remap over `count` ids.
+std::vector<std::int32_t> identity_remap(std::int32_t count) {
+  std::vector<std::int32_t> remap(static_cast<std::size_t>(count));
+  std::iota(remap.begin(), remap.end(), 0);
+  return remap;
 }
 
 }  // namespace
 
 EditableNetlist::EditableNetlist(const Hypergraph& h)
-    : name_(h.name()), num_modules_(h.num_modules()) {
+    : name_(h.name()),
+      num_modules_(h.num_modules()),
+      module_remap_(identity_remap(h.num_modules())) {
   const std::int32_t m = h.num_nets();
   pins_.reserve(static_cast<std::size_t>(m));
   weights_.reserve(static_cast<std::size_t>(m));
@@ -29,16 +30,6 @@ EditableNetlist::EditableNetlist(const Hypergraph& h)
     pins_.emplace_back(p.begin(), p.end());
     weights_.push_back(h.net_weight(n));
   }
-  net_dirty_.assign(static_cast<std::size_t>(m), 0);
-  module_dirty_.assign(static_cast<std::size_t>(num_modules_), 0);
-  net_remap_.resize(static_cast<std::size_t>(m));
-  module_remap_.resize(static_cast<std::size_t>(num_modules_));
-  for (std::int32_t i = 0; i < m; ++i)
-    net_remap_[static_cast<std::size_t>(i)] = i;
-  for (std::int32_t i = 0; i < num_modules_; ++i)
-    module_remap_[static_cast<std::size_t>(i)] = i;
-  prev_num_nets_ = m;
-  prev_num_modules_ = num_modules_;
 }
 
 void EditableNetlist::check_net(NetId n) const {
@@ -70,63 +61,58 @@ NetId EditableNetlist::add_net(std::span<const ModuleId> new_pins,
   std::vector<ModuleId> sorted(new_pins.begin(), new_pins.end());
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  for (const ModuleId k : sorted) module_dirty_[static_cast<std::size_t>(k)] = 1;
   pins_.push_back(std::move(sorted));
   weights_.push_back(weight);
-  net_dirty_.push_back(1);
+  edited_ = true;
   return num_nets() - 1;
 }
 
 void EditableNetlist::remove_net(NetId n) {
   check_net(n);
-  for (const ModuleId k : pins_[static_cast<std::size_t>(n)])
-    module_dirty_[static_cast<std::size_t>(k)] = 1;
   pins_.erase(pins_.begin() + n);
   weights_.erase(weights_.begin() + n);
-  net_dirty_.erase(net_dirty_.begin() + n);
-  shift_remap(net_remap_, n);
+  edited_ = true;
 }
 
 ModuleId EditableNetlist::add_module() {
-  module_dirty_.push_back(1);
+  edited_ = true;
   return num_modules_++;
 }
 
 void EditableNetlist::remove_module(ModuleId m) {
   check_module(m);
-  for (std::size_t n = 0; n < pins_.size(); ++n) {
-    auto& p = pins_[n];
+  for (auto& p : pins_) {
     const auto it = std::lower_bound(p.begin(), p.end(), m);
-    if (it != p.end() && *it == m) {
-      p.erase(it);
-      net_dirty_[n] = 1;
-    }
+    if (it != p.end() && *it == m) p.erase(it);
     // Shift surviving pins past the removed id (order is preserved).
     for (ModuleId& k : p)
       if (k > m) --k;
   }
-  module_dirty_.erase(module_dirty_.begin() + m);
-  shift_remap(module_remap_, m);
+  for (std::int32_t& id : module_remap_) {
+    if (id == m)
+      id = -1;
+    else if (id > m)
+      --id;
+  }
   --num_modules_;
+  edited_ = true;
 }
 
 void EditableNetlist::move_pin(NetId n, ModuleId from, ModuleId to) {
   check_net(n);
   check_module(from);
   check_module(to);
-  if (from == to) return;
   auto& p = pins_[static_cast<std::size_t>(n)];
   const auto from_it = std::lower_bound(p.begin(), p.end(), from);
   if (from_it == p.end() || *from_it != from)
     throw std::invalid_argument("EditableNetlist: module " +
                                 std::to_string(from) + " is not a pin of net " +
                                 std::to_string(n));
+  if (from == to) return;
   p.erase(from_it);
   const auto to_it = std::lower_bound(p.begin(), p.end(), to);
   if (to_it == p.end() || *to_it != to) p.insert(to_it, to);
-  net_dirty_[static_cast<std::size_t>(n)] = 1;
-  module_dirty_[static_cast<std::size_t>(from)] = 1;
-  module_dirty_[static_cast<std::size_t>(to)] = 1;
+  edited_ = true;
 }
 
 Hypergraph EditableNetlist::materialize() const {
@@ -138,28 +124,10 @@ Hypergraph EditableNetlist::materialize() const {
 }
 
 ChangeSet EditableNetlist::drain_changes() {
-  ChangeSet out;
-  out.net_remap = net_remap_;
-  out.module_remap = module_remap_;
-  out.prev_num_nets = prev_num_nets_;
-  out.prev_num_modules = prev_num_modules_;
-  for (std::int32_t n = 0; n < num_nets(); ++n)
-    if (net_dirty_[static_cast<std::size_t>(n)]) out.dirty_nets.push_back(n);
-  for (std::int32_t m = 0; m < num_modules_; ++m)
-    if (module_dirty_[static_cast<std::size_t>(m)])
-      out.dirty_modules.push_back(m);
-
-  // Reset the baseline to the current state.
-  std::fill(net_dirty_.begin(), net_dirty_.end(), 0);
-  std::fill(module_dirty_.begin(), module_dirty_.end(), 0);
-  net_remap_.resize(static_cast<std::size_t>(num_nets()));
-  module_remap_.resize(static_cast<std::size_t>(num_modules_));
-  for (std::int32_t i = 0; i < num_nets(); ++i)
-    net_remap_[static_cast<std::size_t>(i)] = i;
-  for (std::int32_t i = 0; i < num_modules_; ++i)
-    module_remap_[static_cast<std::size_t>(i)] = i;
-  prev_num_nets_ = num_nets();
-  prev_num_modules_ = num_modules_;
+  // Hand out the journal and reset the baseline to the current state.
+  ChangeSet out{std::exchange(module_remap_, identity_remap(num_modules_)),
+                edited_};
+  edited_ = false;
   return out;
 }
 

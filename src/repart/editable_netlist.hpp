@@ -13,9 +13,10 @@
 /// `Hypergraph` is an immutable CSR snapshot; real workloads are sequences
 /// of small ECO-style edits against one evolving design.  EditableNetlist
 /// holds the pin lists in mutable form, applies the edit vocabulary
-/// (add/remove net, add/remove module, move pin), and journals exactly what
-/// changed so a warm repartition can confine its sweep to the nets the
-/// batch touched and carry its cached vectors across the id remaps.
+/// (add/remove net, add/remove module, move pin), and journals what a warm
+/// repartition needs: whether the batch edited anything (so the session
+/// knows to re-materialize) and where each module went (so the previous
+/// partition can be carried forward).
 ///
 /// Id discipline mirrors a from-scratch build: ids are dense, and removing
 /// a net (or module) shifts every higher id down by one — so a
@@ -25,25 +26,15 @@
 
 namespace netpart::repart {
 
-/// Everything that changed since the previous `drain_changes()` baseline.
+/// What changed since the previous `drain_changes()` baseline.
 struct ChangeSet {
-  /// Baseline net id -> current id, -1 when the net was removed.  Strictly
-  /// increasing over survivors (id shifts are downward-only).
-  std::vector<std::int32_t> net_remap;
-  /// Baseline module id -> current id, -1 when removed.
+  /// Baseline module id -> current id, -1 when the module was removed.
+  /// Strictly increasing over survivors (id shifts are downward-only).
   std::vector<std::int32_t> module_remap;
-  /// Current ids of nets whose pin set (or existence) changed, ascending.
-  std::vector<NetId> dirty_nets;
-  /// Current ids of modules whose incident-net set changed, ascending.
-  std::vector<ModuleId> dirty_modules;
-  std::int32_t prev_num_nets = 0;
-  std::int32_t prev_num_modules = 0;
-
-  [[nodiscard]] bool empty() const {
-    return dirty_nets.empty() && dirty_modules.empty() &&
-           net_remap.size() == static_cast<std::size_t>(prev_num_nets) &&
-           module_remap.size() == static_cast<std::size_t>(prev_num_modules);
-  }
+  /// Some edit changed the netlist.  Every mutating edit sets it, including
+  /// one that leaves all net pin sets alone (adding or removing an isolated
+  /// module, removing an empty net).
+  bool edited = false;
 };
 
 /// Mutable netlist with change journaling.  Not thread-safe; one editor
@@ -79,7 +70,9 @@ class EditableNetlist {
 
   /// Move one pin of net `n` from module `from` to module `to`.  When `to`
   /// is already a pin of `n` the pins merge and the net shrinks (same rule
-  /// as HypergraphBuilder's dedup).  No-op when from == to.
+  /// as HypergraphBuilder's dedup).  `from` must be a pin of `n`
+  /// (std::invalid_argument otherwise); the move is then a no-op when
+  /// from == to.
   void move_pin(NetId n, ModuleId from, ModuleId to);
 
   /// Snapshot the current netlist as an immutable Hypergraph —
@@ -100,12 +93,8 @@ class EditableNetlist {
   std::vector<std::int32_t> weights_;
 
   // Journal state (baseline = last drain).
-  std::vector<std::int32_t> net_remap_;     // baseline id -> current
   std::vector<std::int32_t> module_remap_;  // baseline id -> current
-  std::vector<char> net_dirty_;             // parallel to pins_
-  std::vector<char> module_dirty_;          // per current module
-  std::int32_t prev_num_nets_ = 0;
-  std::int32_t prev_num_modules_ = 0;
+  bool edited_ = false;
 };
 
 }  // namespace netpart::repart

@@ -15,10 +15,6 @@ std::uint64_t repartition_config_hash(
   fnv.add_double(options.lanczos.tolerance);
   fnv.add_i32(options.lanczos.check_interval);
   fnv.add_u64(options.lanczos.seed);
-  fnv.add_i32(options.warm_check_interval);
-  fnv.add_i32(options.sweep_window);
-  fnv.add_double(options.full_sweep_fraction);
-  fnv.add_i32(options.warm_start ? 1 : 0);
   return fnv.digest();
 }
 

@@ -15,17 +15,18 @@
 /// configuration) — the whole pipeline is deterministic by the PR 2
 /// contract — so its result can be memoized across sessions, clients, and
 /// connections.  The cache stores, per key, both the answer (the
-/// RepartitionResult) and the exporting session's warm-start state, so a
-/// hit not only skips the spectral solve but also leaves the hitting
-/// session primed exactly as if it had done the work: later ECO
-/// repartitions take bit-identical warm paths.
+/// RepartitionResult) and the exporting session's warm state (its
+/// partition), so a hit not only skips the solve but also leaves the
+/// hitting session primed exactly as if it had done the work: later ECO
+/// repartitions take bit-identical warm paths, flat or V-cycle.
 ///
-/// Only *cold* results may be inserted.  Warm ECO results depend on the
-/// session's edit history (warm-start vector, sweep mask, previous-partition
-/// guard), so the same netlist content reached through different histories
-/// can legitimately carry different (equally valid) partitions; memoizing
-/// them would make responses history-dependent.  The server enforces this
-/// at the single insertion site.
+/// Only *cold* results may be inserted.  A warm ECO result depends on the
+/// session's edit history through the carried-forward partition (which
+/// wins the flat path's guard, or seeds the V-cycle path), so the same
+/// netlist content reached through different histories can legitimately
+/// carry different (equally valid) partitions; memoizing them would make
+/// responses history-dependent.  The server enforces this at the single
+/// insertion site.
 ///
 /// Keys are 64-bit FNV-1a hashes (hypergraph/content_hash.hpp); a collision
 /// returns a stale-but-well-formed result for the colliding content.  All

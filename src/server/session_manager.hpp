@@ -16,7 +16,7 @@
 /// Named long-lived partitioning sessions held hot by the server.
 ///
 /// A session is the server-side unit of state reuse: one RepartitionSession
-/// (evolving netlist + warm spectral cache) plus an EditScriptApplier
+/// (evolving netlist + previous partition) plus an EditScriptApplier
 /// resolving the wire protocol's net names.  All session *mutation* happens
 /// on the one executor lane the session name pins to
 /// (runtime/executor_pool.hpp); the manager's lock only guards the

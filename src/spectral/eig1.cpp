@@ -65,13 +65,12 @@ NetOrdering spectral_net_ordering_of_ig(const Hypergraph& h,
 
   NetOrdering out;
   if (!thresholding) {
-    linalg::FiedlerResult fiedler =
+    const linalg::FiedlerResult fiedler =
         linalg::fiedler_pair(ig.laplacian(), options);
     out.order = linalg::sorted_order(fiedler.vector);
     out.lambda2 = fiedler.lambda2;
     out.lanczos_iterations = fiedler.lanczos_iterations;
     out.eigen_converged = fiedler.converged;
-    out.fiedler = std::move(fiedler.vector);
     return out;
   }
 

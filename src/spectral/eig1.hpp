@@ -47,11 +47,6 @@ struct NetOrdering {
   std::int32_t lanczos_iterations = 0;
   bool eigen_converged = false;
   std::int32_t nets_thresholded = 0;  ///< nets placed by interpolation
-  /// The raw per-net Fiedler components the ordering was sorted from (empty
-  /// under thresholding, where large nets have only interpolated positions).
-  /// The repartitioning cache feeds this back as the next run's Lanczos
-  /// initial guess.
-  std::vector<double> fiedler;
 };
 
 /// Compute the net ordering used by IG-Match and IG-Vote.
@@ -69,9 +64,8 @@ struct NetOrdering {
     std::int32_t threshold_net_size = 0);
 
 /// Same, from a prebuilt intersection graph of `h` (whose weighting is the
-/// caller's business).  The incremental repartitioning pipeline maintains
-/// the IG across netlist edits and re-derives orderings from it without
-/// paying for a rebuild.
+/// caller's business).  `igmatch_partition` builds one IG and hands it to
+/// both this ordering and the sweep.
 [[nodiscard]] NetOrdering spectral_net_ordering_of_ig(
     const Hypergraph& h, const WeightedGraph& ig,
     const linalg::LanczosOptions& options = {},

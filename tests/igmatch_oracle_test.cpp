@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "circuits/rng.hpp"
-#include "graph/intersection_graph.hpp"
 #include "hypergraph/cut_metrics.hpp"
 #include "hypergraph/hypergraph.hpp"
 #include "igmatch/igmatch.hpp"
@@ -144,38 +143,6 @@ TEST(IgMatchOracleTest, MatchingBoundHoldsForShuffledOrderings) {
     for (const IgMatchSplitRecord& rec : r.splits)
       EXPECT_LE(rec.nets_cut, rec.matching_size)
           << "seed " << seed << " rank " << rec.rank;
-  }
-}
-
-// Masked-sweep consistency: an all-ones mask is the full sweep, and any
-// restriction of the mask can only lose (never gain) sweep quality while
-// still never beating the oracle.
-TEST(IgMatchOracleTest, MaskedSweepIsConsistentWithFullSweep) {
-  for (std::uint64_t seed = 200; seed < 220; ++seed) {
-    const Hypergraph h = tiny_circuit(seed);
-    if (h.num_nets() < 4) continue;
-    const double oracle = oracle_min_ratio(h);
-    const WeightedGraph ig = intersection_graph(h);
-    std::vector<std::int32_t> order(static_cast<std::size_t>(h.num_nets()));
-    std::iota(order.begin(), order.end(), 0);
-
-    const IgMatchResult full = igmatch_sweep(h, ig, order, {}, {});
-    std::vector<char> all(order.size(), 1);
-    const IgMatchResult full_masked = igmatch_sweep(h, ig, order, all, {});
-    EXPECT_EQ(full.ratio, full_masked.ratio) << "seed " << seed;
-    EXPECT_EQ(full.nets_cut, full_masked.nets_cut) << "seed " << seed;
-    EXPECT_EQ(full.best_rank, full_masked.best_rank) << "seed " << seed;
-
-    // Evaluate only the even ranks: the evaluated splits see the exact
-    // matcher state of the full sweep, so the result can only be >=.
-    std::vector<char> even(order.size(), 0);
-    for (std::size_t rank = 2; rank < order.size(); rank += 2)
-      even[rank] = 1;
-    const IgMatchResult masked = igmatch_sweep(h, ig, order, even, {});
-    EXPECT_GE(masked.ratio, full.ratio) << "seed " << seed;
-    EXPECT_GE(masked.ratio, oracle - 1e-12) << "seed " << seed;
-    if (full.best_rank % 2 == 0 && full.best_rank >= 2)
-      EXPECT_EQ(masked.ratio, full.ratio) << "seed " << seed;
   }
 }
 

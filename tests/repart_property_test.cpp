@@ -3,14 +3,14 @@
 /// Oracle 1 (exact): after ANY edit script, the materialized hypergraph
 /// must equal an independently maintained shadow netlist.
 ///
-/// Oracle 2 (exact): a session with warm_start disabled runs the identical
-/// cold pipeline, so its partitions must be bit-identical to
-/// `igmatch_partition()` on the materialized hypergraph.
+/// Oracle 2 (exact): every flat repartition answers exactly
+/// `igmatch_partition()` on the materialized hypergraph (cut, ratio,
+/// lambda2, every module's side), except when the previous answer, carried
+/// through the batch's module edits by the shadow model, cuts a strictly
+/// lower ratio: then it answers that partition.
 ///
-/// Oracle 3 (tolerance): a warm session (cached Fiedler vector, masked
-/// sweep) must stay within solver tolerance of the cold ratio cut — the
-/// masked sweep is a subset of the full sweep, but the previous-partition
-/// candidate and the perturbed-region mask keep it competitive.
+/// Oracle 3 (tolerance): the V-cycle path's warm runs hold their own
+/// against a cold V-cycle re-solve over a long ECO trace.
 
 #include <gtest/gtest.h>
 
@@ -44,12 +44,17 @@ Hypergraph small_circuit(std::uint64_t seed) {
 
 /// Independent mutable netlist model: plain vector ops, no journaling, no
 /// sharing of code with EditableNetlist beyond the Hypergraph builder.
+/// `carried` is the last answer carried through the module edits since,
+/// new modules on the left: the partition a warm session weighs.
 struct ShadowNetlist {
   std::int32_t modules = 0;
   std::vector<std::vector<ModuleId>> pins;
   std::vector<std::int32_t> weights;
+  std::vector<Side> carried;
 
-  explicit ShadowNetlist(const Hypergraph& h) : modules(h.num_modules()) {
+  explicit ShadowNetlist(const Hypergraph& h)
+      : modules(h.num_modules()),
+        carried(static_cast<std::size_t>(h.num_modules()), Side::kLeft) {
     for (NetId n = 0; n < h.num_nets(); ++n) {
       const auto p = h.pins(n);
       pins.emplace_back(p.begin(), p.end());
@@ -67,12 +72,17 @@ struct ShadowNetlist {
     pins.erase(pins.begin() + n);
     weights.erase(weights.begin() + n);
   }
+  void add_module() {
+    ++modules;
+    carried.push_back(Side::kLeft);
+  }
   void remove_module(ModuleId m) {
     for (auto& p : pins) {
       std::erase(p, m);
       for (ModuleId& k : p)
         if (k > m) --k;
     }
+    carried.erase(carried.begin() + m);
     --modules;
   }
   void move_pin(std::int32_t n, ModuleId from, ModuleId to) {
@@ -120,7 +130,7 @@ void random_edit(Xoshiro256& rng, EditableNetlist& editor,
     }
     case 2: {  // add a module and wire it in so it is not an isolated row
       const ModuleId fresh = editor.add_module();
-      ++shadow.modules;
+      shadow.add_module();
       std::vector<ModuleId> p{fresh,
                               static_cast<ModuleId>(rng.below(
                                   static_cast<std::uint64_t>(n)))};
@@ -170,12 +180,57 @@ void expect_hypergraphs_equal(const Hypergraph& got, const Hypergraph& want) {
   }
 }
 
+void expect_partitions_equal(const Partition& got, const Partition& want) {
+  ASSERT_EQ(got.num_modules(), want.num_modules());
+  for (ModuleId m = 0; m < got.num_modules(); ++m)
+    ASSERT_EQ(got.side(m), want.side(m)) << "module " << m;
+}
+
+/// Oracle 2 for one flat run `got` over the edited netlist `h`.  `carried`
+/// is the session's previous answer carried through the batch, or empty
+/// when the session had none.  The answer is igmatch_partition's, unless
+/// it is the carried partition with a strictly lower ratio; lambda2 and the
+/// Lanczos count always come from the cold run, and the sweep is full.
+void expect_flat_contract(const RepartitionResult& got, const Hypergraph& h,
+                          IgWeighting weighting,
+                          const std::vector<Side>& carried) {
+  ASSERT_FALSE(got.used_vcycle);
+  IgMatchOptions options;
+  options.weighting = weighting;
+  const IgMatchResult cold = igmatch_partition(h, options);
+  ASSERT_EQ(got.lambda2, cold.lambda2);
+  ASSERT_EQ(got.lanczos_iterations, cold.lanczos_iterations);
+  ASSERT_EQ(got.sweep_ranks_total, h.num_nets() - 1);
+  ASSERT_EQ(got.sweep_ranks_evaluated, got.sweep_ranks_total);
+  ASSERT_EQ(got.nets_cut, net_cut(h, got.partition));
+
+  const Partition previous(carried);
+  const bool weighed = !carried.empty() && previous.is_proper();
+  ASSERT_EQ(got.warm_started, weighed);
+  if (got.used_previous_partition) {
+    ASSERT_TRUE(weighed);
+    ASSERT_LT(got.ratio, cold.ratio);
+    expect_partitions_equal(got.partition, previous);
+    return;
+  }
+  ASSERT_EQ(got.nets_cut, cold.nets_cut);
+  ASSERT_EQ(got.ratio, cold.ratio);
+  expect_partitions_equal(got.partition, cold.partition);
+  if (weighed)
+    ASSERT_GE(ratio_cut_value(net_cut(h, previous),
+                              previous.size(Side::kLeft),
+                              previous.size(Side::kRight)),
+              cold.ratio)
+        << "the carried partition cut a lower ratio but was not kept";
+}
+
 constexpr IgWeighting kWeightings[] = {IgWeighting::kPaper,
                                        IgWeighting::kUniform,
                                        IgWeighting::kOverlap,
                                        IgWeighting::kJaccard};
 
 // ~200 random edit scripts: 52 scripts x 4 weightings, 3 batches each.
+// Every batch checks both exact oracles.
 TEST(RepartPropertyTest, MaterializeMatchesShadowNetlistOnRandomEditScripts) {
   std::int32_t scripts = 0;
   for (std::uint64_t seed = 0; seed < 52; ++seed) {
@@ -185,83 +240,87 @@ TEST(RepartPropertyTest, MaterializeMatchesShadowNetlistOnRandomEditScripts) {
     RepartitionSession session(h, options);
     ShadowNetlist shadow(h);
     Xoshiro256 rng(seed * 7919 + 17);
-    (void)session.repartition();
+    shadow.carried = session.repartition().partition.sides();
     for (std::int32_t batch = 0; batch < 3; ++batch) {
       const auto edits = static_cast<std::int32_t>(rng.range(1, 8));
       for (std::int32_t e = 0; e < edits; ++e)
         random_edit(rng, session.netlist(), shadow);
-      (void)session.repartition();
+      const RepartitionResult got = session.repartition();
       expect_hypergraphs_equal(session.hypergraph(), shadow.build());
+      if (!::testing::Test::HasFatalFailure())
+        expect_flat_contract(got, session.hypergraph(), options.weighting,
+                             shadow.carried);
       if (::testing::Test::HasFatalFailure()) {
         ADD_FAILURE() << "script seed " << seed << " batch " << batch;
         return;
       }
+      shadow.carried = got.partition.sides();
     }
     ++scripts;
   }
   EXPECT_EQ(scripts, 52);
 }
 
-// Cold-mode sessions run the identical pipeline (IG build, random-start
-// Lanczos, full sweep) — results must be bit-identical to the from-scratch
-// igmatch_partition.
+// A session's first run is cold: whatever edits precede it, the answer is
+// bit-identical to igmatch_partition on the materialized netlist, and it
+// weighs no previous partition.  Each batch edits a fresh session over the
+// previous batch's netlist.
 TEST(RepartPropertyTest, ColdSessionBitIdenticalToScratchPipeline) {
   for (std::uint64_t seed = 100; seed < 112; ++seed) {
-    const Hypergraph h = small_circuit(seed);
-    RepartitionOptions options;
-    options.warm_start = false;
-    RepartitionSession session(h, options);
+    Hypergraph h = small_circuit(seed);
     ShadowNetlist shadow(h);
     Xoshiro256 rng(seed * 104729 + 5);
     for (std::int32_t batch = 0; batch < 3; ++batch) {
+      RepartitionSession session(h);
       const auto edits = static_cast<std::int32_t>(rng.range(1, 6));
       for (std::int32_t e = 0; e < edits; ++e)
         random_edit(rng, session.netlist(), shadow);
       const RepartitionResult got = session.repartition();
-      const IgMatchResult want = igmatch_partition(session.hypergraph());
-      ASSERT_EQ(got.nets_cut, want.nets_cut) << "seed " << seed;
-      ASSERT_EQ(got.ratio, want.ratio) << "seed " << seed;
-      ASSERT_EQ(got.lambda2, want.lambda2) << "seed " << seed;
-      ASSERT_EQ(got.partition.num_modules(), want.partition.num_modules());
-      for (ModuleId m = 0; m < got.partition.num_modules(); ++m)
-        ASSERT_EQ(got.partition.side(m), want.partition.side(m))
-            << "seed " << seed << " module " << m;
-      ASSERT_FALSE(got.warm_started);
+      ASSERT_FALSE(got.warm_started) << "seed " << seed;
+      expect_flat_contract(got, session.hypergraph(), IgWeighting::kPaper,
+                           {});
+      if (::testing::Test::HasFatalFailure()) {
+        ADD_FAILURE() << "seed " << seed << " batch " << batch;
+        return;
+      }
+      h = session.hypergraph();
     }
   }
 }
 
-// Warm sessions (cache + mask + previous-partition guard) must stay within
-// solver tolerance of the cold pipeline's cut quality.
+// Warm sessions answer exactly as the cold pipeline does, or with the
+// carried-forward partition when it cuts a strictly lower ratio: never
+// worse than cold, on every batch of 30 seeded scripts.
 TEST(RepartPropertyTest, WarmSessionWithinToleranceOfCold) {
-  std::int32_t warm_wins = 0, cold_wins = 0;
+  std::int32_t warm = 0, kept = 0;
   for (std::uint64_t seed = 200; seed < 230; ++seed) {
     const Hypergraph h = small_circuit(seed);
     RepartitionSession session(h);
     ShadowNetlist shadow(h);
     Xoshiro256 rng(seed * 65537 + 3);
-    (void)session.repartition();
+    shadow.carried = session.repartition().partition.sides();
     for (std::int32_t batch = 0; batch < 3; ++batch) {
       const auto edits = static_cast<std::int32_t>(rng.range(1, 5));
       for (std::int32_t e = 0; e < edits; ++e)
         random_edit(rng, session.netlist(), shadow);
-      const RepartitionResult warm = session.repartition();
-      EXPECT_TRUE(warm.warm_started) << "seed " << seed;
-      const IgMatchResult cold = igmatch_partition(session.hypergraph());
-      ASSERT_TRUE(warm.partition.is_proper()) << "seed " << seed;
-      // Verify the reported metrics against the partition itself.
-      const std::int32_t check_cut = net_cut(session.hypergraph(),
-                                             warm.partition);
-      ASSERT_EQ(check_cut, warm.nets_cut) << "seed " << seed;
-      EXPECT_LE(warm.ratio, cold.ratio * 1.15 + 1e-9)
-          << "seed " << seed << " batch " << batch;
-      if (warm.ratio < cold.ratio) ++warm_wins;
-      if (warm.ratio > cold.ratio) ++cold_wins;
+      const RepartitionResult got = session.repartition();
+      ASSERT_TRUE(got.partition.is_proper()) << "seed " << seed;
+      expect_flat_contract(got, session.hypergraph(), IgWeighting::kPaper,
+                           shadow.carried);
+      if (::testing::Test::HasFatalFailure()) {
+        ADD_FAILURE() << "seed " << seed << " batch " << batch;
+        return;
+      }
+      warm += got.warm_started ? 1 : 0;
+      kept += got.used_previous_partition ? 1 : 0;
+      shadow.carried = got.partition.sides();
     }
   }
-  // The tolerance must not be doing all the work: warm matches or beats
-  // cold in the overwhelming majority of batches.
-  EXPECT_LE(cold_wins, 20) << "warm wins: " << warm_wins;
+  // Every batch weighs the carried partition, and both of the contract's
+  // branches occur.
+  EXPECT_EQ(warm, 90);
+  EXPECT_GT(kept, 0);
+  EXPECT_LT(kept, warm);
 }
 
 // Multilevel warm start: with the V-cycle threshold forced down to 1
@@ -341,12 +400,6 @@ class IgBuildCounter {
  private:
   obs::MetricsRegistry& registry_ = obs::MetricsRegistry::instance();
 };
-
-void expect_partitions_equal(const Partition& got, const Partition& want) {
-  ASSERT_EQ(got.num_modules(), want.num_modules());
-  for (ModuleId m = 0; m < got.num_modules(); ++m)
-    ASSERT_EQ(got.side(m), want.side(m)) << "module " << m;
-}
 
 /// Default net names n0..n{m-1}, the names an applier starts from.
 std::vector<std::string> default_names(const Hypergraph& h) {
@@ -441,9 +494,9 @@ TEST(RepartPropertyTest, VcycleSessionNeverBuildsTheIntersectionGraph) {
 }
 
 // A session that drops below the V-cycle threshold builds its IG from the
-// edited netlist, so its (cold) flat answer must equal igmatch_partition;
-// crossing back and forth builds one IG per flat run and none per V-cycle
-// run.
+// edited netlist, so its flat answer must be igmatch_partition's (or the
+// carried V-cycle answer, when that cuts a strictly lower ratio); crossing
+// back and forth builds one IG per flat run and none per V-cycle run.
 TEST(RepartPropertyTest, CrossingFromVcycleToFlatBuildsAnExactIg) {
   GeneratorConfig config;
   config.name = "repart-threshold-crossing";
@@ -460,7 +513,8 @@ TEST(RepartPropertyTest, CrossingFromVcycleToFlatBuildsAnExactIg) {
   ASSERT_TRUE(session.repartition().used_vcycle);
   Xoshiro256 rng(77);
   (void)apply_eco_edits(applier, session.netlist(), names, "a", 6, rng);
-  ASSERT_TRUE(session.repartition().used_vcycle);
+  RepartitionResult last = session.repartition();
+  ASSERT_TRUE(last.used_vcycle);
   EXPECT_EQ(counter.builds(), 0);
 
   for (std::int32_t crossing = 0; crossing < 2; ++crossing) {
@@ -471,68 +525,79 @@ TEST(RepartPropertyTest, CrossingFromVcycleToFlatBuildsAnExactIg) {
     remove.kind = EditOpKind::kRemoveModule;
     remove.module_a = 17 + crossing;
     applier.apply({remove});
+    std::vector<Side> carried = last.partition.sides();
+    carried.erase(carried.begin() + remove.module_a);
     const RepartitionResult flat = session.repartition();
     ASSERT_FALSE(flat.used_vcycle) << "crossing " << crossing;
-    ASSERT_FALSE(flat.warm_started) << "crossing " << crossing;
+    ASSERT_TRUE(flat.warm_started) << "crossing " << crossing;
     EXPECT_EQ(counter.builds(), crossing + 1);
-    const IgMatchResult want = igmatch_partition(session.hypergraph());
-    EXPECT_EQ(flat.nets_cut, want.nets_cut);
-    EXPECT_EQ(flat.ratio, want.ratio);
-    EXPECT_EQ(flat.lambda2, want.lambda2);
-    expect_partitions_equal(flat.partition, want.partition);
+    expect_flat_contract(flat, session.hypergraph(), IgWeighting::kPaper,
+                         carried);
     if (::testing::Test::HasFatalFailure()) return;
 
     // Up again: the V-cycle epoch builds none.
     (void)apply_eco_edits(applier, session.netlist(), names,
                           "up" + std::to_string(crossing), 3, rng);
     applier.apply({EditOp{}});  // add-module
-    const RepartitionResult back = session.repartition();
-    ASSERT_TRUE(back.used_vcycle) << "crossing " << crossing;
+    last = session.repartition();
+    ASSERT_TRUE(last.used_vcycle) << "crossing " << crossing;
+    ASSERT_TRUE(last.warm_started) << "crossing " << crossing;
     EXPECT_EQ(counter.builds(), crossing + 1);
   }
   EXPECT_EQ(counter.builds(), 2);
 }
 
 // A session that imports another's exported warm state (the server's cache
-// hit path) must take exactly the exporter's own warm step.
+// hit path) must take exactly the exporter's own warm step, on the flat
+// path and on the V-cycle path.
 TEST(RepartPropertyTest, ImportedWarmStateReplaysTheExportersWarmStep) {
-  GeneratorConfig config;
-  config.name = "repart-import-warm";
-  config.num_modules = 1000;
-  config.num_nets = 1200;
-  const Hypergraph h = generate_circuit(config).hypergraph;
-  RepartitionOptions options;
-  options.sweep_window = 4;  // keep the perturbed-region mask narrow
+  struct Input {
+    std::int32_t modules;
+    std::int32_t nets;
+    std::int32_t vcycle_threshold;
+  };
+  for (const Input input : {Input{1000, 1200, 100000}, Input{400, 1000, 1}}) {
+    GeneratorConfig config;
+    config.name = "repart-import-warm";
+    config.num_modules = input.modules;
+    config.num_nets = input.nets;
+    const Hypergraph h = generate_circuit(config).hypergraph;
+    RepartitionOptions options;
+    options.vcycle_threshold = input.vcycle_threshold;
+    options.vcycle.direct_pair_budget = 0;  // force real hierarchies
+    options.vcycle.coarsen_to = 64;
+    const bool vcycle = input.vcycle_threshold <= input.modules;
 
-  RepartitionSession exporter(h, options);
-  EditScriptApplier exporter_applier(exporter.netlist());
-  (void)exporter.repartition();
-  RepartitionSession importer(exporter.hypergraph(), options);
-  EditScriptApplier importer_applier(importer.netlist());
-  importer.import_warm_state(exporter.export_warm_state());
+    RepartitionSession exporter(h, options);
+    EditScriptApplier exporter_applier(exporter.netlist());
+    ASSERT_EQ(exporter.repartition().used_vcycle, vcycle);
+    RepartitionSession importer(exporter.hypergraph(), options);
+    EditScriptApplier importer_applier(importer.netlist());
+    importer.import_warm_state(exporter.export_warm_state());
 
-  Xoshiro256 rng(9001);
-  std::vector<std::string> names = default_names(h);
-  importer_applier.apply(apply_eco_edits(exporter_applier, exporter.netlist(),
-                                         names, "eco", 6, rng));
-  const RepartitionResult want = exporter.repartition();
-  const RepartitionResult got = importer.repartition();
-  ASSERT_TRUE(want.warm_started);
-  ASSERT_TRUE(got.warm_started);
-  EXPECT_LT(want.sweep_ranks_evaluated, want.sweep_ranks_total)
-      << "the edit must exercise the masked sweep";
-  EXPECT_EQ(got.sweep_ranks_evaluated, want.sweep_ranks_evaluated);
-  EXPECT_EQ(got.lanczos_iterations, want.lanczos_iterations);
-  EXPECT_EQ(got.nets_cut, want.nets_cut);
-  EXPECT_EQ(got.ratio, want.ratio);
-  EXPECT_EQ(got.used_previous_partition, want.used_previous_partition);
-  expect_partitions_equal(got.partition, want.partition);
+    Xoshiro256 rng(9001);
+    std::vector<std::string> names = default_names(h);
+    importer_applier.apply(apply_eco_edits(
+        exporter_applier, exporter.netlist(), names, "eco", 6, rng));
+    const RepartitionResult want = exporter.repartition();
+    const RepartitionResult got = importer.repartition();
+    ASSERT_EQ(want.used_vcycle, vcycle);
+    ASSERT_TRUE(want.warm_started) << "vcycle " << vcycle;
+    EXPECT_EQ(got.used_vcycle, want.used_vcycle);
+    EXPECT_EQ(got.warm_started, want.warm_started) << "vcycle " << vcycle;
+    EXPECT_EQ(got.vcycles_run, want.vcycles_run) << "vcycle " << vcycle;
+    EXPECT_EQ(got.lanczos_iterations, want.lanczos_iterations);
+    EXPECT_EQ(got.nets_cut, want.nets_cut);
+    EXPECT_EQ(got.ratio, want.ratio) << "vcycle " << vcycle;
+    EXPECT_EQ(got.used_previous_partition, want.used_previous_partition);
+    expect_partitions_equal(got.partition, want.partition);
+  }
 }
 
 // A warm step is a function of the warm state, the netlist and the pending
-// batch, nothing else: after an edited warm step, a no-op batch must sweep
-// the same ranks in the session that made that step as in a fresh session
-// that imported its state.
+// batch, nothing else: after an edited warm step, a no-op batch must answer
+// the same in the session that made that step as in a fresh session that
+// imported its state.
 TEST(RepartPropertyTest, NoOpBatchSweepsAsIfFromImportedState) {
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     GeneratorConfig config;
@@ -540,10 +605,8 @@ TEST(RepartPropertyTest, NoOpBatchSweepsAsIfFromImportedState) {
     config.num_modules = 1000;
     config.num_nets = 1200;
     const Hypergraph h = generate_circuit(config).hypergraph;
-    RepartitionOptions options;
-    options.sweep_window = 4;  // keep the perturbed-region mask narrow
 
-    RepartitionSession a(h, options);
+    RepartitionSession a(h);
     EditScriptApplier applier(a.netlist());
     (void)a.repartition();
     Xoshiro256 rng(seed * 7727 + 11);
@@ -551,7 +614,7 @@ TEST(RepartPropertyTest, NoOpBatchSweepsAsIfFromImportedState) {
     (void)apply_eco_edits(applier, a.netlist(), names, "eco", 6, rng);
     ASSERT_TRUE(a.repartition().warm_started) << "seed " << seed;
 
-    RepartitionSession b(a.hypergraph(), options);
+    RepartitionSession b(a.hypergraph());
     b.import_warm_state(a.export_warm_state());
     ASSERT_FALSE(a.netlist().pins(0).empty());
     const ModuleId pin = a.netlist().pins(0)[0];
@@ -763,7 +826,11 @@ TEST(RepartPropertyTest, EditApiValidation) {
   EXPECT_THROW(editor.add_net(std::vector<ModuleId>{0, 1}, 0),
                std::invalid_argument);
   EXPECT_THROW(editor.move_pin(0, 2, 3), std::invalid_argument);  // not a pin
+  EXPECT_THROW(editor.move_pin(0, 2, 2), std::invalid_argument);  // nor here
   EXPECT_THROW(editor.move_pin(0, 0, 9), std::out_of_range);
+  editor.move_pin(1, 2, 2);  // a pin onto itself: accepted, changes nothing
+  EXPECT_EQ(editor.pins(1).size(), 3u);
+  EXPECT_FALSE(editor.drain_changes().edited);
 
   // Pin-merge semantics: moving 0 onto 1 in net {0,1} shrinks it.
   editor.move_pin(0, 0, 1);
@@ -778,14 +845,52 @@ TEST(RepartPropertyTest, EditApiValidation) {
   EXPECT_EQ(editor.pins(1)[1], 2);
 
   const ChangeSet changes = editor.drain_changes();
-  EXPECT_EQ(changes.prev_num_nets, 3);
-  EXPECT_EQ(changes.prev_num_modules, 4);
+  EXPECT_TRUE(changes.edited);
   ASSERT_EQ(changes.module_remap.size(), 4u);
   EXPECT_EQ(changes.module_remap[0], 0);
   EXPECT_EQ(changes.module_remap[1], -1);
   EXPECT_EQ(changes.module_remap[2], 1);
   EXPECT_EQ(changes.module_remap[3], 2);
-  EXPECT_TRUE(editor.drain_changes().empty());  // baseline was reset
+  EXPECT_FALSE(editor.drain_changes().edited);  // baseline was reset
+}
+
+// Batches that leave every net's pins alone still edit the netlist: adding
+// or removing an isolated module, and adding or removing a net with no
+// pins.  After every batch the answer, hypergraph() and netlist() must
+// agree on the module count, and the answer must keep the flat contract.
+TEST(RepartPropertyTest, PinPreservingBatchesStillReachTheAnswer) {
+  const Hypergraph h = small_circuit(3);
+  RepartitionSession session(h);
+  ShadowNetlist shadow(h);
+  shadow.carried = session.repartition().partition.sides();
+  const auto check = [&](const char* batch) {
+    const RepartitionResult got = session.repartition();
+    EXPECT_EQ(got.partition.num_modules(), shadow.modules) << batch;
+    EXPECT_EQ(session.hypergraph().num_modules(), shadow.modules) << batch;
+    EXPECT_EQ(session.netlist().num_modules(), shadow.modules) << batch;
+    expect_hypergraphs_equal(session.hypergraph(), shadow.build());
+    if (!::testing::Test::HasFatalFailure())
+      expect_flat_contract(got, session.hypergraph(), IgWeighting::kPaper,
+                           shadow.carried);
+    if (::testing::Test::HasFatalFailure()) ADD_FAILURE() << batch;
+    shadow.carried = got.partition.sides();
+  };
+
+  const ModuleId isolated = session.netlist().add_module();
+  shadow.add_module();
+  check("add an isolated module");
+  session.netlist().remove_module(isolated);
+  shadow.remove_module(isolated);
+  check("remove the isolated module");
+  const NetId empty = session.netlist().add_net(std::vector<ModuleId>{});
+  shadow.add_net({}, 1);
+  check("add an empty net");
+  session.netlist().remove_net(empty);
+  shadow.remove_net(empty);
+  check("remove the empty net");
+  const ModuleId pin = session.netlist().pins(0)[0];
+  session.netlist().move_pin(0, pin, pin);
+  check("a no-op move");
 }
 
 TEST(RepartPropertyTest, EditScriptParsesAndApplies) {
@@ -816,7 +921,10 @@ TEST(RepartPropertyTest, EditScriptParsesAndApplies) {
   EXPECT_EQ(editor.pins(1)[0], 2);
   EXPECT_EQ(editor.pins(1)[1], 3);
 
-  // Semantic failures: unknown / duplicate names.
+  // Semantic failures: unknown / duplicate names, a pin that is not one.
+  std::istringstream self_move("move-pin n0 3 3\n");  // n0 = {0,1}
+  EXPECT_THROW(applier.apply(read_edit_script(self_move).batches.at(0)),
+               std::invalid_argument);
   EditBatch bad;
   EditOp op;
   op.kind = EditOpKind::kRemoveNet;

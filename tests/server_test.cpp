@@ -230,6 +230,49 @@ TEST(ServerTest, EditThenRepartitionIsBitIdenticalToInProcessEco) {
             assignment_of(twin_warm.partition));
 }
 
+// A batch that only removes an isolated module still edits the netlist:
+// the warm answer must cover exactly the modules that remain.
+TEST(ServerTest, EditThatOnlyRemovesAnIsolatedModuleShrinksTheAnswer) {
+  ServerFixture fixture(test_options(unique_socket()));
+  Client client;
+  ASSERT_TRUE(client.connect(fixture.server().options().socket_path));
+
+  const JsonValue loaded = rpc(
+      client, R"({"id":1,"op":"load","session":"s","circuit":"bm1"})");
+  ASSERT_TRUE(is_ok(loaded));
+  const auto modules = static_cast<std::size_t>(get_number(loaded, "modules"));
+  ASSERT_TRUE(is_ok(rpc(client, R"({"id":2,"op":"partition","session":"s"})")));
+
+  ASSERT_TRUE(is_ok(rpc(
+      client, R"({"id":3,"op":"edit","session":"s","script":"add-module\n"})")));
+  const JsonValue grown =
+      rpc(client, R"({"id":4,"op":"repartition","session":"s"})");
+  ASSERT_TRUE(is_ok(grown));
+  EXPECT_EQ(get_string(grown, "assignment").size(), modules + 1);
+
+  const std::string remove = R"({"id":5,"op":"edit","session":"s","script":)" +
+                             json_quoted("remove-module " +
+                                         std::to_string(modules) + "\n") +
+                             "}";
+  const JsonValue edited = rpc(client, remove);
+  ASSERT_TRUE(is_ok(edited));
+  EXPECT_EQ(static_cast<std::size_t>(get_number(edited, "modules")), modules);
+  const JsonValue shrunk =
+      rpc(client, R"({"id":6,"op":"repartition","session":"s"})");
+  ASSERT_TRUE(is_ok(shrunk));
+  EXPECT_EQ(get_string(shrunk, "assignment").size(), modules);
+
+  // In-process twin: the same two batches, the same answer.
+  repart::RepartitionSession twin(make_benchmark("bm1").hypergraph);
+  (void)twin.repartition();
+  (void)twin.netlist().add_module();
+  (void)twin.repartition();
+  twin.netlist().remove_module(static_cast<ModuleId>(modules));
+  const repart::RepartitionResult want = twin.repartition();
+  EXPECT_EQ(get_string(shrunk, "assignment"), assignment_of(want.partition));
+  EXPECT_EQ(get_number(shrunk, "ratio"), want.ratio);
+}
+
 TEST(ServerTest, CacheHitServesIdenticalResultAndPrimesWarmPath) {
   ServerFixture fixture(test_options(unique_socket()));
   Client client;

@@ -336,8 +336,8 @@ std::vector<RepartRecord> repart_trace(const Hypergraph& h,
 }
 
 TEST_F(ThreadDeterminismTest, RepartitionPathBitIdenticalAcrossLaneCounts) {
-  // > 4096 nets so the chunked parallel reductions run inside the warm
-  // Lanczos restarts too, not just the cold ones.
+  // > 4096 nets so the chunked parallel reductions run inside every
+  // batch's Lanczos solve.
   const Hypergraph h = circuit(4000, "det-repart");
   const std::vector<RepartRecord> reference = repart_trace(h, 1);
   ASSERT_EQ(reference.size(), 20u);

@@ -16,7 +16,8 @@
 ///                         concurrency, overridable via NETPART_THREADS
 ///   --repartition <file>  (partition, igmatch only) apply the ECO edit
 ///                         script and repartition incrementally at each
-///                         `commit` (warm-start spectral cache + IG deltas)
+///                         `commit` (IG-Match against the carried-forward
+///                         partition)
 ///   --trace               print the phase trace tree and metrics tables
 ///   --trace-out <file>    write the run's span tree as Chrome trace-event
 ///                         JSON (load in ui.perfetto.dev / chrome://tracing)
@@ -237,17 +238,15 @@ int cmd_repartition(const std::string& input, const std::string& algorithm,
     r = session.repartition();
     std::cout << "  batch " << i + 1 << "   cut " << r.nets_cut << ", ratio "
               << format_ratio(r.ratio) << " (";
-    // The V-cycle path runs no Lanczos or sweep, so it names itself
-    // instead of reporting their zero counts.
+    // The V-cycle path runs no Lanczos, so it names itself instead of
+    // reporting a zero count.
     if (r.used_vcycle && r.warm_started)
       std::cout << "warm V-cycle, " << r.vcycles_run << " improving cycles";
     else if (r.used_vcycle)
       std::cout << "cold V-cycle";
     else
       std::cout << (r.warm_started ? "warm" : "cold") << ", "
-                << r.lanczos_iterations << " Lanczos iters, "
-                << r.sweep_ranks_evaluated << "/" << r.sweep_ranks_total
-                << " splits";
+                << r.lanczos_iterations << " Lanczos iters";
     std::cout << (r.used_previous_partition ? ", kept previous" : "")
               << ")\n";
   }

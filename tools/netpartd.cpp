@@ -3,8 +3,8 @@
 /// Speaks newline-delimited JSON over a Unix-domain socket.  Clients load
 /// netlists into named sessions, partition them (cold runs are memoized in
 /// a content-addressed result cache), apply ECO edit scripts, and
-/// repartition incrementally with warm-started spectral solves — the whole
-/// PR 3 incremental path, over the wire.
+/// repartition incrementally against the carried-forward partition — the
+/// CLI's `--repartition` path, over the wire.
 ///
 /// usage: netpartd [flags]
 ///   --socket <path>        listen address; '@' prefix = Linux abstract
