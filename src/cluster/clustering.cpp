@@ -39,6 +39,32 @@ Partition Clustering::project(const Partition& cluster_partition) const {
   return out;
 }
 
+namespace {
+
+/// The rating loops below walk one module's nets at a time, and those nets
+/// lie scattered over the whole net range, so every net costs a cache miss
+/// on its pin list.  They prefetch pin lists ahead of use: the first
+/// kPrefetchNetsAhead of the module they will visit kPrefetchModulesAhead
+/// steps later, and, inside a module, the net kPrefetchNetsAhead positions
+/// further down its list.  Prefetching a whole net list at once is worse
+/// on the dense coarse levels, where a module has thousands of nets.
+constexpr std::size_t kPrefetchModulesAhead = 4;
+constexpr std::size_t kPrefetchNetsAhead = 16;
+
+void prefetch_first_pin_lists(const Hypergraph& h, ModuleId m) {
+  const auto nets = h.nets_of(m);
+  const std::size_t count = std::min(nets.size(), kPrefetchNetsAhead);
+  for (std::size_t i = 0; i < count; ++i) {
+    const ModuleId* pins = h.pins(nets[i]).data();
+    __builtin_prefetch(pins);
+    // A loop of bare prefetches has no side effects, so GCC deletes it as
+    // a finite loop; the empty asm consumes the address and keeps it.
+    asm volatile("" : : "r"(pins));
+  }
+}
+
+}  // namespace
+
 Clustering heavy_edge_clustering(const Hypergraph& h,
                                  const MatchingOptions& options) {
   const std::int32_t n = h.num_modules();
@@ -78,11 +104,25 @@ Clustering heavy_edge_clustering(const Hypergraph& h,
   for (ModuleId m = 0; m < n; ++m)
     cluster_weight[static_cast<std::size_t>(m)] = weight_of(m);
 
+  // Visit order: decreasing degree, ties by increasing id (a counting sort,
+  // so the order is exactly a stable sort's without its comparisons).
   std::vector<ModuleId> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](ModuleId a, ModuleId b) {
-    return h.module_degree(a) > h.module_degree(b);
-  });
+  {
+    std::int32_t max_degree = 0;
+    for (ModuleId m = 0; m < n; ++m)
+      max_degree = std::max(max_degree, h.module_degree(m));
+    std::vector<std::int32_t> next_slot(
+        static_cast<std::size_t>(max_degree) + 2, 0);
+    for (ModuleId m = 0; m < n; ++m)
+      ++next_slot[static_cast<std::size_t>(max_degree - h.module_degree(m)) +
+                  1];
+    for (std::size_t d = 1; d < next_slot.size(); ++d)
+      next_slot[d] += next_slot[d - 1];
+    for (ModuleId m = 0; m < n; ++m)
+      order[static_cast<std::size_t>(
+          next_slot[static_cast<std::size_t>(max_degree -
+                                             h.module_degree(m))]++)] = m;
+  }
 
   // Dense-accumulator ratings: contributions are strictly positive, so
   // rating[x] == 0 doubles as the "untouched" marker and `touched` lets us
@@ -91,12 +131,19 @@ Clustering heavy_edge_clustering(const Hypergraph& h,
   std::vector<ModuleId> touched;
   touched.reserve(128);
 
-  for (const ModuleId m : order) {
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const ModuleId m = order[k];
+    if (k + kPrefetchModulesAhead < order.size())
+      prefetch_first_pin_lists(h, order[k + kPrefetchModulesAhead]);
     if (cluster_size[static_cast<std::size_t>(
             cluster_of_rep[static_cast<std::size_t>(m)])] > 1)
       continue;  // already merged (as a member or as a grown representative)
     const std::int64_t wm = weight_of(m);
-    for (const NetId net : h.nets_of(m)) {
+    const auto nets = h.nets_of(m);
+    for (std::size_t i = 0; i < nets.size(); ++i) {
+      const NetId net = nets[i];
+      if (i + kPrefetchNetsAhead < nets.size())
+        __builtin_prefetch(h.pins(nets[i + kPrefetchNetsAhead]).data());
       const auto pins = h.pins(net);
       const auto size = static_cast<std::int32_t>(pins.size());
       if (size < 2) continue;
@@ -110,19 +157,15 @@ Clustering heavy_edge_clustering(const Hypergraph& h,
         const std::int32_t target =
             cluster_of_rep[static_cast<std::size_t>(other)];
         if (target == m) continue;
-        // Side and community purity are per cluster (joiners passed the
-        // same checks against this representative), so the representative
-        // answers for all members.
-        if (options.constraint != nullptr &&
-            options.constraint->side(target) != options.constraint->side(m))
-          continue;
+        // Community purity is per cluster (joiners passed the same check
+        // against this representative), so the representative answers for
+        // all members.  It is checked per pin: on the community-restricted
+        // finest levels, rating out-of-community targets too and filtering
+        // them at the choice below measured slower.  The side and weight
+        // checks wait for that choice.
         if (!options.communities.empty() &&
             options.communities[static_cast<std::size_t>(target)] !=
                 options.communities[static_cast<std::size_t>(m)])
-          continue;
-        if (options.max_cluster_weight > 0 &&
-            cluster_weight[static_cast<std::size_t>(target)] + wm >
-                options.max_cluster_weight)
           continue;
         double& r = rating[static_cast<std::size_t>(target)];
         if (r == 0.0) touched.push_back(target);
@@ -132,10 +175,19 @@ Clustering heavy_edge_clustering(const Hypergraph& h,
     // Score = connectivity / cluster weight: the weight penalty steers
     // joiners toward light clusters, so growth stays balanced instead of
     // snowballing into a few hub clusters (which wrecks coarse-level
-    // structure and with it final cut quality).
+    // structure and with it final cut quality).  Side and weight
+    // eligibility depend only on the target cluster, so they are checked
+    // once per touched target; an ineligible target's rating is never read.
     std::int32_t best = -1;
     double best_score = 0.0;
     for (const std::int32_t target : touched) {
+      if (options.constraint != nullptr &&
+          options.constraint->side(target) != options.constraint->side(m))
+        continue;
+      if (options.max_cluster_weight > 0 &&
+          cluster_weight[static_cast<std::size_t>(target)] + wm >
+              options.max_cluster_weight)
+        continue;
       const double score =
           rating[static_cast<std::size_t>(target)] /
           static_cast<double>(cluster_weight[static_cast<std::size_t>(target)]);
@@ -181,6 +233,10 @@ std::vector<std::int32_t> community_labels(const Hypergraph& h,
   for (std::int32_t round = 0; round < rounds; ++round) {
     bool changed = false;
     for (ModuleId m = 0; m < n; ++m) {
+      if (static_cast<std::size_t>(m) + kPrefetchModulesAhead <
+          static_cast<std::size_t>(n))
+        prefetch_first_pin_lists(
+            h, m + static_cast<ModuleId>(kPrefetchModulesAhead));
       for (const NetId net : h.nets_of(m)) {
         const auto pins = h.pins(net);
         const auto size = static_cast<std::int32_t>(pins.size());
@@ -224,7 +280,7 @@ std::vector<std::int32_t> community_labels(const Hypergraph& h,
 namespace {
 
 /// FNV-1a over a deduplicated coarse pin vector, the parallel-net bucket key.
-std::size_t hash_pins(const std::vector<ModuleId>& pins) {
+std::size_t hash_pins(std::span<const ModuleId> pins) {
   std::size_t hash = 1469598103934665603ull;
   for (const ModuleId m : pins) {
     hash ^= static_cast<std::size_t>(static_cast<std::uint32_t>(m));
@@ -273,55 +329,84 @@ Contraction contract_with_info(const Hypergraph& h, const Clustering& c,
     table_size *= 2;
   std::vector<NetId> table(table_size, 0);
 
-  std::vector<ModuleId> pins;
-  for (NetId n = 0; n < h.num_nets(); ++n) {
-    pins.clear();
-    for (const ModuleId m : h.pins(n)) pins.push_back(c.cluster_of(m));
-    std::sort(pins.begin(), pins.end());
-    pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
-    out.pins_merged +=
-        static_cast<std::int64_t>(h.pins(n).size()) -
-        static_cast<std::int64_t>(pins.size());
-    if (pins.size() < 2) {
-      out.pins_dropped += static_cast<std::int64_t>(pins.size());
-      continue;
-    }
-    std::size_t slot = hash_pins(pins) & (table_size - 1);
-    NetId coarse_id = -1;
-    while (table[slot] != 0) {
-      const NetId candidate = table[slot] - 1;
-      const auto existing = coarse_span(candidate);
-      if (std::equal(existing.begin(), existing.end(), pins.begin(),
-                     pins.end())) {
-        coarse_id = candidate;
-        break;
+  // Nets go through in blocks: a block's coarse pin sets are mapped,
+  // sorted and hashed first, prefetching each one's table slot, and only
+  // then probed in net order, so the table's cache misses overlap instead
+  // of stalling one net at a time.
+  constexpr NetId kBlock = 64;
+  std::vector<ModuleId> block_pins;
+  std::vector<std::size_t> block_begin(static_cast<std::size_t>(kBlock) + 1);
+  std::vector<std::size_t> block_hash(static_cast<std::size_t>(kBlock));
+  for (NetId first = 0; first < h.num_nets(); first += kBlock) {
+    const NetId last = std::min(h.num_nets(), first + kBlock);
+    block_pins.clear();
+    for (NetId n = first; n < last; ++n) {
+      const auto i = static_cast<std::size_t>(n - first);
+      const std::size_t begin = block_pins.size();
+      block_begin[i] = begin;
+      for (const ModuleId m : h.pins(n)) block_pins.push_back(c.cluster_of(m));
+      const auto pins_begin =
+          block_pins.begin() + static_cast<std::ptrdiff_t>(begin);
+      std::sort(pins_begin, block_pins.end());
+      block_pins.erase(std::unique(pins_begin, block_pins.end()),
+                       block_pins.end());
+      if (block_pins.size() - begin >= 2) {
+        block_hash[i] = hash_pins(std::span<const ModuleId>(
+            block_pins.data() + begin, block_pins.size() - begin));
+        __builtin_prefetch(&table[block_hash[i] & (table_size - 1)]);
       }
-      slot = (slot + 1) & (table_size - 1);
     }
-    if (coarse_id == -1) {
-      coarse_id = static_cast<NetId>(coarse_weight.size());
-      table[slot] = coarse_id + 1;
-      pin_data.insert(pin_data.end(), pins.begin(), pins.end());
-      pin_offsets.push_back(static_cast<std::int64_t>(pin_data.size()));
-      coarse_weight.push_back(h.net_weight(n));
-    } else {
-      coarse_weight[static_cast<std::size_t>(coarse_id)] += h.net_weight(n);
-      ++out.parallel_nets_merged;
-      out.parallel_pins_merged += static_cast<std::int64_t>(pins.size());
+    block_begin[static_cast<std::size_t>(last - first)] = block_pins.size();
+
+    for (NetId n = first; n < last; ++n) {
+      const auto i = static_cast<std::size_t>(n - first);
+      const std::span<const ModuleId> pins(block_pins.data() + block_begin[i],
+                                           block_begin[i + 1] - block_begin[i]);
+      out.pins_merged +=
+          static_cast<std::int64_t>(h.pins(n).size()) -
+          static_cast<std::int64_t>(pins.size());
+      if (pins.size() < 2) {
+        out.pins_dropped += static_cast<std::int64_t>(pins.size());
+        continue;
+      }
+      std::size_t slot = block_hash[i] & (table_size - 1);
+      NetId coarse_id = -1;
+      while (table[slot] != 0) {
+        const NetId candidate = table[slot] - 1;
+        const auto existing = coarse_span(candidate);
+        if (std::equal(existing.begin(), existing.end(), pins.begin(),
+                       pins.end())) {
+          coarse_id = candidate;
+          break;
+        }
+        slot = (slot + 1) & (table_size - 1);
+      }
+      if (coarse_id == -1) {
+        coarse_id = static_cast<NetId>(coarse_weight.size());
+        table[slot] = coarse_id + 1;
+        pin_data.insert(pin_data.end(), pins.begin(), pins.end());
+        pin_offsets.push_back(static_cast<std::int64_t>(pin_data.size()));
+        coarse_weight.push_back(h.net_weight(n));
+      } else {
+        coarse_weight[static_cast<std::size_t>(coarse_id)] += h.net_weight(n);
+        ++out.parallel_nets_merged;
+        out.parallel_pins_merged += static_cast<std::int64_t>(pins.size());
+      }
+      out.net_of_fine[static_cast<std::size_t>(n)] = coarse_id;
     }
-    out.net_of_fine[static_cast<std::size_t>(n)] = coarse_id;
   }
 
-  HypergraphBuilder builder(c.num_clusters());
-  builder.set_name(h.name());
+  // The arena already holds every coarse net sorted and deduplicated.
+  std::vector<std::int32_t> weights(coarse_weight.size());
   for (std::size_t i = 0; i < coarse_weight.size(); ++i) {
     if (coarse_weight[i] > std::numeric_limits<std::int32_t>::max())
       throw std::invalid_argument(
           "contract_with_info: accumulated net weight overflows");
-    builder.add_net(coarse_span(static_cast<NetId>(i)),
-                    static_cast<std::int32_t>(coarse_weight[i]));
+    weights[i] = static_cast<std::int32_t>(coarse_weight[i]);
   }
-  out.coarse = builder.build();
+  out.coarse = HypergraphBuilder::from_canonical_nets(
+      c.num_clusters(), h.name(), std::move(pin_offsets), std::move(pin_data),
+      std::move(weights));
   return out;
 }
 

@@ -1,7 +1,6 @@
 #include "cluster/multilevel.hpp"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -17,19 +16,8 @@ namespace {
 void validate_options(const MultilevelOptions& options) {
   if (options.coarsen_to < 4)
     throw std::invalid_argument("multilevel: coarsen_to too small");
-  if (options.max_levels < 0 || options.refine_passes < 0 ||
-      options.vcycles < 0 || options.refine_stall_limit < 0)
+  if (options.refine_passes < 0 || options.vcycles < 0)
     throw std::invalid_argument("multilevel: negative option");
-  if (options.min_shrink < 0.0 || options.min_shrink >= 1.0)
-    throw std::invalid_argument("multilevel: min_shrink out of [0, 1)");
-}
-
-/// Weighted fine-level ratio cut — the quantity every improvement guard
-/// compares (equals the classic ratio cut on unit-weight netlists).
-double fine_ratio(const Hypergraph& h, const Partition& p) {
-  if (!p.is_proper()) return std::numeric_limits<double>::infinity();
-  return static_cast<double>(weighted_net_cut(h, p)) /
-         static_cast<double>(p.size_product());
 }
 
 /// Push a partition one level down: every cluster takes its members' side
@@ -50,9 +38,8 @@ double refine_level(const Hypergraph& h,
   if (h.num_modules() < 2 || passes <= 0) return 0.0;
   FmEngine engine(h);
   engine.reset(p);
-  engine.set_stall_limit(options.refine_stall_limit);
-  if (options.boundary_refine_above > 0 &&
-      h.num_modules() > options.boundary_refine_above) {
+  engine.set_stall_limit(kMultilevelRefineStallLimit);
+  if (h.num_modules() > kMultilevelBoundaryRefineAbove) {
     std::vector<char> boundary(static_cast<std::size_t>(h.num_modules()), 0);
     for (NetId n = 0; n < h.num_nets(); ++n) {
       const auto pins = h.pins(n);
@@ -112,22 +99,18 @@ void uncoarsen_refine(const Hypergraph& h, const MultilevelHierarchy& hier,
 Partition run_vcycles(const Hypergraph& h, Partition current,
                       const MultilevelOptions& options, std::int32_t cycles,
                       std::int32_t* cycles_run) {
-  // Extra cycles coarsen twice as greedily as the cold start: they exist
-  // to perturb an already-good partition, half the levels cost half the
-  // time, and the improvement guard below keeps only cycles that help.
-  MultilevelOptions cycle_options = options;
-  if (cycle_options.max_weight_factor > 0.0)
-    cycle_options.max_weight_factor *= 2.0;
   for (std::int32_t cycle = 0; cycle < cycles; ++cycle) {
     if (!current.is_proper()) break;
-    const MultilevelHierarchy hier =
-        coarsen_hierarchy(h, cycle_options, &current);
+    // Side-constrained coarsening: twice as greedy as the cold start.
+    const MultilevelHierarchy hier = coarsen_hierarchy(h, options, &current);
     if (hier.empty()) break;
     Partition candidate = current;
     for (const MultilevelLevel& level : hier.levels)
       candidate = restrict_down(level.map, candidate);
     uncoarsen_refine(h, hier, options, candidate, nullptr);
-    if (fine_ratio(h, candidate) < fine_ratio(h, current)) {
+    // The weighted ratio cut is what every improvement guard compares (it
+    // equals the classic ratio cut on unit-weight netlists).
+    if (weighted_ratio_cut(h, candidate) < weighted_ratio_cut(h, current)) {
       current = std::move(candidate);
       if (cycles_run != nullptr) ++*cycles_run;
       NETPART_COUNTER_ADD("ml.vcycle_improved", 1);
@@ -154,6 +137,9 @@ MultilevelHierarchy coarsen_hierarchy(const Hypergraph& h,
   const Hypergraph* cur = &h;
   Partition cur_constraint(0);
   if (constraint != nullptr) cur_constraint = *constraint;
+  const double weight_factor = constraint != nullptr
+                                   ? 2.0 * kMultilevelMaxWeightFactor
+                                   : kMultilevelMaxWeightFactor;
 
   // Community labels are detected once, on the finest level, and projected
   // down the hierarchy: clusters are community-pure by construction, so a
@@ -176,7 +162,8 @@ MultilevelHierarchy coarsen_hierarchy(const Hypergraph& h,
     return total;
   };
 
-  while (static_cast<std::int32_t>(hier.levels.size()) < options.max_levels &&
+  while (static_cast<std::int32_t>(hier.levels.size()) <
+             kMultilevelMaxLevels &&
          cur->num_modules() > options.coarsen_to &&
          (options.direct_pair_budget <= 0 ||
           pair_work(*cur) > options.direct_pair_budget)) {
@@ -191,13 +178,10 @@ MultilevelHierarchy coarsen_hierarchy(const Hypergraph& h,
     // imposing an absolute floor on how far the hierarchy can condense —
     // net-heavy instances must coarsen well past `coarsen_to` modules
     // before the coarsest solve is affordable.
-    std::int64_t cap = 0;
-    if (options.max_weight_factor > 0.0)
-      cap = std::max<std::int64_t>(
-          1, static_cast<std::int64_t>(
-                 std::ceil(static_cast<double>(h.num_modules()) *
-                           options.max_weight_factor /
-                           static_cast<double>(n))));
+    const std::int64_t cap = std::max<std::int64_t>(
+        1, static_cast<std::int64_t>(
+               std::ceil(static_cast<double>(h.num_modules()) *
+                         weight_factor / static_cast<double>(n))));
     MatchingOptions matching;
     matching.constraint = constraint != nullptr ? &cur_constraint : nullptr;
     matching.module_weights = weights;
@@ -207,10 +191,9 @@ MultilevelHierarchy coarsen_hierarchy(const Hypergraph& h,
     // constraint already confines merges to partition-pure clusters, the
     // extra cycle is a refinement perturbation rather than a cold start,
     // and the improvement guard discards any cycle that does not help.
-    if (options.community_rounds > 0 && hier.levels.empty() &&
-        constraint == nullptr) {
+    if (hier.levels.empty() && constraint == nullptr) {
       NETPART_SPAN("ml.community");
-      communities = community_labels(*cur, options.community_rounds,
+      communities = community_labels(*cur, kMultilevelCommunityRounds,
                                      options.rating_net_size_limit);
       communities_live = !communities.empty();
     }
@@ -224,14 +207,14 @@ MultilevelHierarchy coarsen_hierarchy(const Hypergraph& h,
       // projecting labels — they carry no further signal) before giving up.
       if (communities_live &&
           static_cast<double>(n - c.num_clusters()) <
-              options.min_shrink * static_cast<double>(n)) {
+              kMultilevelMinShrink * static_cast<double>(n)) {
         matching.communities = {};
         communities_live = false;
         c = heavy_edge_clustering(*cur, matching);
       }
     }
     if (static_cast<double>(n - c.num_clusters()) <
-        options.min_shrink * static_cast<double>(n))
+        kMultilevelMinShrink * static_cast<double>(n))
       break;  // coarsening has converged; further levels condense nothing
 
     Contraction ct = [&] {

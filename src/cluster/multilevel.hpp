@@ -22,13 +22,47 @@
 ///    coarse ratio under accumulated module weights IS the projected fine
 ///    ratio, so "refinement never hurts" is exact, not heuristic);
 ///  - optionally run extra V-cycles: re-coarsen constrained to the current
-///    partition's sides, refine through the new hierarchy, keep the result
-///    only when the fine-level ratio strictly improved.
+///    partition's sides (with twice the cold start's cluster-weight cap),
+///    refine through the new hierarchy, keep the result only when the
+///    fine-level ratio strictly improved.
+///
+/// The coarsening and refinement schedule (level cap, weight cap,
+/// community rounds, shrink floor, boundary-only refinement, stall limit)
+/// is fixed by the kMultilevel* constants below; MultilevelOptions carries
+/// only what callers set.
 ///
 /// Everything is serial or rides the deterministic parallel runtime, so
 /// results are bit-identical at any lane count and across runs.
 
 namespace netpart {
+
+/// Hard cap on coarsening levels (each level roughly halves the size).
+inline constexpr std::int32_t kMultilevelMaxLevels = 32;
+/// Merges whose combined module weight exceeds this multiple of the current
+/// level's average module weight are refused.  Keeps each level's growth
+/// balanced — no hub cluster can absorb the netlist — while leaving the
+/// hierarchy free to condense as deep as the coarsen targets demand.
+/// Side-constrained (V-cycle) coarsening doubles it: those cycles exist to
+/// perturb an already-good partition, half the levels cost half the time,
+/// and the improvement guard keeps only cycles that help.
+inline constexpr double kMultilevelMaxWeightFactor = 4.0;
+/// Label-propagation rounds for community-aware coarsening.  Matching
+/// falls back to unrestricted pairing on levels where the community
+/// constraint would stall coarsening.
+inline constexpr std::int32_t kMultilevelCommunityRounds = 2;
+/// Coarsening stops when a level shrinks by less than this fraction:
+/// further levels would add refine work without condensing anything.
+inline constexpr double kMultilevelMinShrink = 0.05;
+/// Levels with more modules than this refine only the cut boundary
+/// (modules on cut nets; everything else is pinned).  Full-freedom FM on a
+/// million-module level spends almost all its moves far from the cut for
+/// gains in the 1e-9 range; the boundary is where the ratio moves.
+inline constexpr std::int32_t kMultilevelBoundaryRefineAbove = 10000;
+/// A refinement pass aborts after this many consecutive moves without a
+/// new best prefix.  Mid-coarse levels carry wide, heavy accumulated nets,
+/// so each tentative move is expensive; once a pass has gone this long
+/// without improving, the remaining sequence is rollback fodder.
+inline constexpr std::int32_t kMultilevelRefineStallLimit = 1000;
 
 /// Options for the multilevel engine.
 struct MultilevelOptions {
@@ -49,8 +83,6 @@ struct MultilevelOptions {
   /// is already affordable only destroys structure the solver would have
   /// used.
   std::int64_t direct_pair_budget = 50'000;
-  /// Hard cap on coarsening levels (each level roughly halves the size).
-  std::int32_t max_levels = 32;
   /// Solver options for the coarsest level.
   IgMatchOptions igmatch;
   /// Ratio-cut FM passes per uncoarsening level (stops early when a pass
@@ -60,35 +92,10 @@ struct MultilevelOptions {
   /// current partition projects exactly onto the coarse hypergraph),
   /// refine through the hierarchy, project back.  Improvement-guarded.
   std::int32_t vcycles = 0;
-  /// Refuse merges whose combined module weight exceeds this multiple of
-  /// the current level's average module weight (<= 0 lifts the cap).
-  /// Keeps each level's growth balanced — no hub cluster can absorb the
-  /// netlist — while leaving the hierarchy free to condense as deep as the
-  /// coarsen targets demand.
-  double max_weight_factor = 4.0;
   /// Nets larger than this are ignored by connectivity ratings and
   /// community propagation (0 = none); a k-pin net contributes 1/(k-1)
   /// per neighbour, so huge nets are O(k^2) rating work for ~no signal.
   std::int32_t rating_net_size_limit = 64;
-  /// Label-propagation rounds for community-aware coarsening (0 = off).
-  /// Matching falls back to unrestricted pairing on levels where the
-  /// community constraint would stall coarsening.
-  std::int32_t community_rounds = 2;
-  /// Stop coarsening when a level shrinks by less than this fraction:
-  /// further levels would add refine work without condensing anything.
-  double min_shrink = 0.05;
-  /// Levels with more modules than this refine only the cut boundary
-  /// (modules on cut nets; everything else is pinned).  Full-freedom FM on
-  /// a million-module level spends almost all its moves far from the cut
-  /// for gains in the 1e-9 range; the boundary is where the ratio moves.
-  /// 0 = always refine every module.
-  std::int32_t boundary_refine_above = 10000;
-  /// Abort a refinement pass after this many consecutive moves without a
-  /// new best prefix (0 = walk the full move sequence).  Mid-coarse levels
-  /// carry wide, heavy accumulated nets, so each tentative move is
-  /// expensive; once a pass has gone this long without improving, the
-  /// remaining sequence is rollback fodder.
-  std::int32_t refine_stall_limit = 1000;
 };
 
 /// One coarsening level: the map from this level's fine modules to coarse
@@ -115,8 +122,9 @@ struct MultilevelHierarchy {
 
 /// Build a coarsening hierarchy for `h`.  When `constraint` is non-null
 /// every cluster is side-pure, so the constraint projects exactly onto
-/// every level (the V-cycle re-coarsening mode).  Exposed separately so
-/// tests can audit the per-level invariants against hand contraction.
+/// every level, and the cluster-weight cap doubles (the V-cycle
+/// re-coarsening mode).  Exposed separately so tests can audit the
+/// per-level invariants against hand contraction.
 [[nodiscard]] MultilevelHierarchy coarsen_hierarchy(
     const Hypergraph& h, const MultilevelOptions& options,
     const Partition* constraint = nullptr);

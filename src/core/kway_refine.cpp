@@ -79,7 +79,7 @@ KwayRefineResult kway_refine(const Hypergraph& h, const MultiwayPartition& p,
   result.cost_before = connectivity_minus_one(h, p);
 
   std::vector<std::int32_t> candidates;
-  for (std::int32_t pass = 0; pass < options.max_passes; ++pass) {
+  for (std::int32_t pass = 0; pass < kKwayRefineMaxPasses; ++pass) {
     ++result.passes_run;
     std::int32_t moves_this_pass = 0;
     for (ModuleId m = 0; m < h.num_modules(); ++m) {

@@ -18,13 +18,15 @@
 
 namespace netpart {
 
+/// Full passes over the modules; refinement stops early when a pass moves
+/// nothing.
+inline constexpr std::int32_t kKwayRefineMaxPasses = 8;
+
 /// Options for the k-way refinement.
 struct KwayRefineOptions {
   /// Upper bound on any block's size after refinement (0 = the maximum
   /// block size of the input partition — never make imbalance worse).
   std::int32_t max_block_size = 0;
-  /// Full passes over the modules; stops early when a pass moves nothing.
-  std::int32_t max_passes = 8;
 };
 
 /// Result of a refinement run.

@@ -163,7 +163,6 @@ MultiwayResult multiway_partition(const Hypergraph& h,
             largest = std::max(largest, result.partition.block_size(b));
           return largest;
         }());
-    refine_options.max_passes = options.refine_passes;
     result.partition =
         kway_refine(h, result.partition, refine_options).partition;
   }

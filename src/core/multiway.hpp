@@ -57,8 +57,6 @@ struct MultiwayOptions {
   /// Run the direct k-way refinement (kway_refine.hpp) after the recursive
   /// bisection, fixing modules the bisection stranded across blocks.
   bool refine = true;
-  /// Passes for the refinement (ignored when refine is false).
-  std::int32_t refine_passes = 8;
 };
 
 /// Result of a multiway decomposition.

@@ -89,7 +89,7 @@ PartitionResult run_partitioner(const Hypergraph& h,
         // improved by using standard iterative techniques".
         FmEngine engine(h);
         engine.reset(out.partition);
-        for (std::int32_t pass = 0; pass < config.fm.max_passes; ++pass)
+        for (std::int32_t pass = 0; pass < kFmMaxPasses; ++pass)
           if (!engine.pass_ratio_cut().improved) break;
         out.partition = engine.partition();
       }
@@ -99,7 +99,6 @@ PartitionResult run_partitioner(const Hypergraph& h,
       IgVoteOptions options;
       options.weighting = config.weighting;
       options.lanczos = config.lanczos;
-      options.threshold = config.igvote_threshold;
       const IgVoteResult r = igvote_partition(h, options);
       out.partition = r.partition;
       out.lambda2 = r.lambda2;

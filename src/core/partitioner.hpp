@@ -50,7 +50,6 @@ struct PartitionerConfig {
   IgWeighting weighting = IgWeighting::kPaper;
   linalg::LanczosOptions lanczos;
   FmOptions fm;
-  double igvote_threshold = 0.5;
   /// Section 5 thresholding speedup for the IG eigenvector (0 = off).
   std::int32_t threshold_net_size = 0;
   /// kMultilevel: stop coarsening at this many modules (instances within

@@ -26,14 +26,14 @@ AnnealingResult anneal_ratio_cut(const Hypergraph& h,
 
   double best_ratio = state.ratio();
   Partition best = state.partition();
-  double temperature = best_ratio * options.initial_temperature_factor;
+  double temperature = best_ratio * kAnnealingInitialTemperatureFactor;
   if (temperature <= 0.0) temperature = 1e-6;
 
   const auto moves_per_sweep = static_cast<std::int64_t>(
       options.moves_per_module * static_cast<double>(n));
   std::int32_t frozen_sweeps = 0;
 
-  for (std::int32_t sweep = 0; sweep < options.max_sweeps; ++sweep) {
+  for (std::int32_t sweep = 0; sweep < kAnnealingMaxSweeps; ++sweep) {
     ++result.sweeps;
     std::int64_t accepted_this_sweep = 0;
     for (std::int64_t move = 0; move < moves_per_sweep; ++move) {
@@ -61,7 +61,7 @@ AnnealingResult anneal_ratio_cut(const Hypergraph& h,
     result.accepted_moves += accepted_this_sweep;
     temperature *= options.cooling;
     frozen_sweeps = accepted_this_sweep == 0 ? frozen_sweeps + 1 : 0;
-    if (frozen_sweeps >= options.freeze_after) break;
+    if (frozen_sweeps >= kAnnealingFreezeAfter) break;
   }
 
   result.partition = std::move(best);

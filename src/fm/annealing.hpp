@@ -16,20 +16,22 @@
 
 namespace netpart {
 
+/// Initial temperature as a multiple of the initial ratio-cut value
+/// (scale-free: the objective is ~1e-4 on real circuits).
+inline constexpr double kAnnealingInitialTemperatureFactor = 2.0;
+/// A run stops after this many sweeps (or earlier once frozen).
+inline constexpr std::int32_t kAnnealingMaxSweeps = 120;
+/// A run freezes after this many consecutive sweeps without an accepted
+/// move.
+inline constexpr std::int32_t kAnnealingFreezeAfter = 5;
+
 /// Annealing schedule and run options.
 struct AnnealingOptions {
   std::uint64_t seed = 0x5EEDULL;
-  /// Initial temperature as a multiple of the initial ratio-cut value
-  /// (scale-free: the objective is ~1e-4 on real circuits).
-  double initial_temperature_factor = 2.0;
   /// Geometric cooling rate per sweep.
   double cooling = 0.95;
   /// Module flips attempted per sweep = moves_per_module * n.
   double moves_per_module = 4.0;
-  /// Stop after this many sweeps (or earlier once frozen).
-  std::int32_t max_sweeps = 120;
-  /// Freeze after this many consecutive sweeps without accepted moves.
-  std::int32_t freeze_after = 5;
 };
 
 /// Result of an annealing run.

@@ -12,14 +12,22 @@ namespace netpart {
 
 namespace {
 
-/// Largest weighted module degree: the FM gain bound.
+/// apply_move prefetches the pin list and state of the net this many
+/// positions further down the moved module's net list, so the misses of
+/// consecutive scattered nets overlap.
+constexpr std::size_t kPrefetchAhead = 8;
+
+/// Largest weighted module degree: the FM gain bound.  Summed net by net,
+/// which reads the net arrays in order instead of once per scattered
+/// incident net.
 std::int32_t weighted_gain_bound(const Hypergraph& h) {
+  std::vector<std::int64_t> degree(static_cast<std::size_t>(h.num_modules()),
+                                   0);
+  for (NetId n = 0; n < h.num_nets(); ++n)
+    for (const ModuleId m : h.pins(n))
+      degree[static_cast<std::size_t>(m)] += h.net_weight(n);
   std::int64_t best = 0;
-  for (ModuleId m = 0; m < h.num_modules(); ++m) {
-    std::int64_t degree = 0;
-    for (const NetId n : h.nets_of(m)) degree += h.net_weight(n);
-    best = std::max(best, degree);
-  }
+  for (const std::int64_t d : degree) best = std::max(best, d);
   if (best > std::numeric_limits<std::int32_t>::max() / 2)
     throw std::invalid_argument("FmEngine: net weights too large");
   return static_cast<std::int32_t>(best);
@@ -30,10 +38,13 @@ std::int32_t weighted_gain_bound(const Hypergraph& h) {
 FmEngine::FmEngine(const Hypergraph& h)
     : h_(h),
       partition_(h.num_modules(), Side::kLeft),
-      left_pins_(static_cast<std::size_t>(h.num_nets()), 0),
+      nets_(static_cast<std::size_t>(h.num_nets())),
       max_gain_bound_(weighted_gain_bound(h)),
       locked_(static_cast<std::size_t>(h.num_modules()), 0),
-      fixed_(static_cast<std::size_t>(h.num_modules()), 0) {}
+      fixed_(static_cast<std::size_t>(h.num_modules()), 0) {
+  for (NetId n = 0; n < h.num_nets(); ++n)
+    nets_[static_cast<std::size_t>(n)] = {0, h.net_size(n), h.net_weight(n)};
+}
 
 void FmEngine::fix_module(ModuleId m) {
   fixed_[static_cast<std::size_t>(m)] = 1;
@@ -50,7 +61,7 @@ void FmEngine::reset(const Partition& p) {
     std::int32_t left = 0;
     for (const ModuleId m : h_.pins(n))
       if (p.side(m) == Side::kLeft) ++left;
-    left_pins_[static_cast<std::size_t>(n)] = left;
+    nets_[static_cast<std::size_t>(n)].left = left;
     if (left > 0 && left < h_.net_size(n)) {
       ++cut_;
       weighted_cut_ += h_.net_weight(n);
@@ -106,7 +117,7 @@ std::int32_t FmEngine::gain_of(ModuleId m) const {
   const Side to = opposite(from);
   std::int32_t gain = 0;
   for (const NetId n : h_.nets_of(m)) {
-    const std::int32_t w = h_.net_weight(n);
+    const std::int32_t w = nets_[static_cast<std::size_t>(n)].weight;
     if (pins_on_side(n, from) == 1) gain += w;  // move uncuts
     if (pins_on_side(n, to) == 0) gain -= w;    // move newly cuts
   }
@@ -118,15 +129,24 @@ void FmEngine::apply_move(ModuleId m, GainBuckets& left_bucket,
   const Side from = partition_.side(m);
   const Side to = opposite(from);
   const auto adjust = [&](ModuleId c, std::int32_t delta) {
-    // `c` lives in exactly one bucket (or none once locked); adjust is a
-    // no-op on the bucket that does not contain it.
-    left_bucket.adjust(c, delta);
-    right_bucket.adjust(c, delta);
+    // A free module sits in the bucket of its current side (only `m`
+    // changes side during a pass, and it is locked); locked and fixed
+    // modules sit in neither, where adjust is a no-op.
+    (partition_.side(c) == Side::kLeft ? left_bucket : right_bucket)
+        .adjust(c, delta);
   };
 
-  for (const NetId n : h_.nets_of(m)) {
-    const std::int32_t size = h_.net_size(n);
-    const std::int32_t weight = h_.net_weight(n);
+  const auto nets = h_.nets_of(m);
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    const NetId n = nets[i];
+    if (i + kPrefetchAhead < nets.size()) {
+      const NetId ahead = nets[i + kPrefetchAhead];
+      __builtin_prefetch(h_.pins(ahead).data());
+      __builtin_prefetch(&nets_[static_cast<std::size_t>(ahead)]);
+    }
+    NetState& net = nets_[static_cast<std::size_t>(n)];
+    const std::int32_t size = net.size;
+    const std::int32_t weight = net.weight;
     // Pre-move rules (classic FM): counts still exclude m from `to`.
     const std::int32_t to_before = pins_on_side(n, to);
     if (to_before == 0) {
@@ -141,7 +161,7 @@ void FmEngine::apply_move(ModuleId m, GainBuckets& left_bucket,
     }
 
     // The move itself on this net's counts and the cut.
-    std::int32_t& left = left_pins_[static_cast<std::size_t>(n)];
+    std::int32_t& left = net.left;
     const bool was_cut = left > 0 && left < size;
     left += (to == Side::kLeft) ? 1 : -1;
     const bool now_cut = left > 0 && left < size;
@@ -173,15 +193,14 @@ void FmEngine::apply_move(ModuleId m, GainBuckets& left_bucket,
 void FmEngine::undo_move(ModuleId m) {
   const Side to = opposite(partition_.side(m));
   for (const NetId n : h_.nets_of(m)) {
-    const std::int32_t size = h_.net_size(n);
-    std::int32_t& left = left_pins_[static_cast<std::size_t>(n)];
-    const bool was_cut = left > 0 && left < size;
-    left += (to == Side::kLeft) ? 1 : -1;
-    const bool now_cut = left > 0 && left < size;
+    NetState& net = nets_[static_cast<std::size_t>(n)];
+    const bool was_cut = net.left > 0 && net.left < net.size;
+    net.left += (to == Side::kLeft) ? 1 : -1;
+    const bool now_cut = net.left > 0 && net.left < net.size;
     if (now_cut != was_cut) {
       const std::int32_t sign = now_cut ? 1 : -1;
       cut_ += sign;
-      weighted_cut_ += sign * static_cast<std::int64_t>(h_.net_weight(n));
+      weighted_cut_ += sign * static_cast<std::int64_t>(net.weight);
     }
   }
   if (!module_weight_.empty())

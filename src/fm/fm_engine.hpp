@@ -94,17 +94,26 @@ class FmEngine {
   [[nodiscard]] std::int32_t gain_of(ModuleId m) const;
 
   [[nodiscard]] std::int32_t pins_on_side(NetId n, Side s) const {
-    const std::int32_t left = left_pins_[static_cast<std::size_t>(n)];
-    return s == Side::kLeft ? left : h_.net_size(n) - left;
+    const NetState& net = nets_[static_cast<std::size_t>(n)];
+    return s == Side::kLeft ? net.left : net.size - net.left;
   }
 
   /// Shared pass skeleton; `use_ratio` selects the objective.
   FmPassResult run_pass(bool use_ratio, std::int32_t min_left,
                         std::int32_t max_left);
 
+  /// What a move reads and writes per incident net, in one record: at
+  /// dense coarse levels a move touches thousands of nets scattered over
+  /// the net range, and one cache line per net beats three arrays.
+  struct NetState {
+    std::int32_t left;    ///< pins on the left side
+    std::int32_t size;    ///< h_.net_size(n)
+    std::int32_t weight;  ///< h_.net_weight(n)
+  };
+
   const Hypergraph& h_;
   Partition partition_;
-  std::vector<std::int32_t> left_pins_;
+  std::vector<NetState> nets_;
   std::int32_t cut_ = 0;
   std::int64_t weighted_cut_ = 0;
   std::int32_t max_gain_bound_ = 0;  ///< max weighted module degree

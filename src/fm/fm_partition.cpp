@@ -79,7 +79,7 @@ FmRunResult multi_start(const Hypergraph& h, const FmOptions& options,
                static_cast<std::uint64_t>(start) * std::uint64_t{0x9E3779B9}));
     StartOutcome outcome;
     outcome.start = start;
-    for (std::int32_t pass = 0; pass < options.max_passes; ++pass) {
+    for (std::int32_t pass = 0; pass < kFmMaxPasses; ++pass) {
       ++outcome.passes;
       const FmPassResult pr = objective == Objective::kRatio
                                   ? engine.pass_ratio_cut()

@@ -20,12 +20,13 @@
 
 namespace netpart {
 
+/// FM passes per start; passes stop earlier when one fails to improve.
+inline constexpr std::int32_t kFmMaxPasses = 40;
+
 /// Options shared by the FM drivers.
 struct FmOptions {
   std::int32_t num_starts = 10;   ///< random restarts ([32] uses 10)
   std::uint64_t seed = 0xC0FFEEULL;
-  std::int32_t max_passes = 40;   ///< per start; passes stop earlier when
-                                  ///< one fails to improve
   /// Bisection only: allowed deviation of |U| from n/2 as a fraction of n
   /// (the r-bipartition slack).
   double balance_tolerance = 0.10;

@@ -19,47 +19,16 @@ GainBuckets::GainBuckets(std::int32_t num_items, std::int32_t max_gain)
       prev_(static_cast<std::size_t>(num_items), -1),
       where_(static_cast<std::size_t>(num_items), kAbsent) {}
 
-std::int32_t GainBuckets::bucket_of_gain(std::int32_t gain) const {
-  if (gain < -max_gain_ || gain > max_gain_)
-    throw std::out_of_range("GainBuckets: gain out of range");
-  return gain + max_gain_;
+void GainBuckets::throw_double_insert() {
+  throw std::logic_error("GainBuckets: double insert");
 }
 
-void GainBuckets::insert(std::int32_t item, std::int32_t gain) {
-  if (contains(item)) throw std::logic_error("GainBuckets: double insert");
-  const std::int32_t b = bucket_of_gain(gain);
-  const std::int32_t old_head = heads_[static_cast<std::size_t>(b)];
-  next_[static_cast<std::size_t>(item)] = old_head;
-  prev_[static_cast<std::size_t>(item)] = -1;
-  if (old_head != -1) prev_[static_cast<std::size_t>(old_head)] = item;
-  heads_[static_cast<std::size_t>(b)] = item;
-  where_[static_cast<std::size_t>(item)] = b;
-  if (b > max_bucket_) max_bucket_ = b;
-  ++size_;
+void GainBuckets::throw_absent_remove() {
+  throw std::logic_error("GainBuckets: remove of absent");
 }
 
-void GainBuckets::remove(std::int32_t item) {
-  const std::int32_t b = where_[static_cast<std::size_t>(item)];
-  if (b == kAbsent) throw std::logic_error("GainBuckets: remove of absent");
-  const std::int32_t p = prev_[static_cast<std::size_t>(item)];
-  const std::int32_t n = next_[static_cast<std::size_t>(item)];
-  if (p != -1)
-    next_[static_cast<std::size_t>(p)] = n;
-  else
-    heads_[static_cast<std::size_t>(b)] = n;
-  if (n != -1) prev_[static_cast<std::size_t>(n)] = p;
-  where_[static_cast<std::size_t>(item)] = kAbsent;
-  --size_;
-}
-
-void GainBuckets::update(std::int32_t item, std::int32_t new_gain) {
-  remove(item);
-  insert(item, new_gain);
-}
-
-void GainBuckets::adjust(std::int32_t item, std::int32_t delta) {
-  if (!contains(item) || delta == 0) return;
-  update(item, gain_of(item) + delta);
+void GainBuckets::throw_gain_out_of_range() {
+  throw std::out_of_range("GainBuckets: gain out of range");
 }
 
 std::int32_t GainBuckets::max_item() const {

@@ -63,8 +63,7 @@ std::vector<std::int32_t> top_candidates(const Partition& p,
 
 }  // namespace
 
-double kl_pass(const WeightedGraph& g, Partition& p,
-               std::int32_t candidate_limit) {
+double kl_pass(const WeightedGraph& g, Partition& p) {
   const std::int32_t n = g.num_vertices();
   std::vector<double> d = compute_d_values(g, p);
   std::vector<char> locked(static_cast<std::size_t>(n), 0);
@@ -80,9 +79,9 @@ double kl_pass(const WeightedGraph& g, Partition& p,
 
   for (std::int32_t step = 0; step < pairs; ++step) {
     const auto left =
-        top_candidates(p, d, locked, Side::kLeft, candidate_limit);
+        top_candidates(p, d, locked, Side::kLeft, kKlCandidateLimit);
     const auto right =
-        top_candidates(p, d, locked, Side::kRight, candidate_limit);
+        top_candidates(p, d, locked, Side::kRight, kKlCandidateLimit);
     if (left.empty() || right.empty()) break;
 
     Swap best{-1, -1, -std::numeric_limits<double>::infinity()};
@@ -151,8 +150,8 @@ KlResult kl_bisection(const Hypergraph& h, const KlOptions& options) {
         h.num_modules(),
         options.seed + static_cast<std::uint64_t>(start) * 7919);
     std::int32_t passes = 0;
-    for (; passes < options.max_passes; ++passes)
-      if (kl_pass(g, p, options.candidate_limit) <= 0.0) break;
+    for (; passes < kKlMaxPasses; ++passes)
+      if (kl_pass(g, p) <= 0.0) break;
     const double cut = weighted_edge_cut(g, p);
     best.passes += passes;
     if (cut < best.edge_cut) {

@@ -20,15 +20,17 @@
 
 namespace netpart {
 
+/// KL passes per start; passes stop earlier when one fails to improve.
+inline constexpr std::int32_t kKlMaxPasses = 12;
+/// Per swap step, only this many top D-valued vertices of each side are
+/// paired exhaustively (the classic practical shortcut; exact selection
+/// would cost O(n^2) per swap).
+inline constexpr std::int32_t kKlCandidateLimit = 24;
+
 /// Options for the KL driver.
 struct KlOptions {
   std::int32_t num_starts = 4;
   std::uint64_t seed = 0xBEEFULL;
-  std::int32_t max_passes = 12;
-  /// Per swap step, only the top `candidate_limit` D-valued vertices of
-  /// each side are paired exhaustively (the classic practical shortcut;
-  /// exact selection would cost O(n^2) per swap).
-  std::int32_t candidate_limit = 24;
 };
 
 /// Result of a KL run.
@@ -41,10 +43,10 @@ struct KlResult {
 };
 
 /// One KL pass on `g` from `p` (must be a balanced bipartition; KL swaps
-/// preserve side sizes exactly).  Returns the improved partition's cut.
-/// Exposed for tests; most callers want kl_bisection.
-double kl_pass(const WeightedGraph& g, Partition& p,
-               std::int32_t candidate_limit);
+/// preserve side sizes exactly).  Returns the pass's total gain, the
+/// reduction of the cut.  Exposed for tests; most callers want
+/// kl_bisection.
+double kl_pass(const WeightedGraph& g, Partition& p);
 
 /// Weighted edge cut of `p` in `g`.
 [[nodiscard]] double weighted_edge_cut(const WeightedGraph& g,

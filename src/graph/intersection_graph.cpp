@@ -1,22 +1,11 @@
 #include "graph/intersection_graph.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 
 #include "obs/metrics.hpp"
 #include "parallel/parallel_for.hpp"
 
 namespace netpart {
-
-IgWeighting parse_ig_weighting(std::string_view name) {
-  if (name == "paper") return IgWeighting::kPaper;
-  if (name == "uniform") return IgWeighting::kUniform;
-  if (name == "overlap") return IgWeighting::kOverlap;
-  if (name == "jaccard") return IgWeighting::kJaccard;
-  throw std::invalid_argument("unknown IG weighting '" + std::string(name) +
-                              "'");
-}
 
 const char* to_string(IgWeighting w) {
   switch (w) {

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <string_view>
-
 #include "graph/weighted_graph.hpp"
 #include "hypergraph/hypergraph.hpp"
 
@@ -30,10 +28,6 @@ enum class IgWeighting {
   /// A'_ab = q / (|s_a| + |s_b| - q), the Jaccard overlap of the pin sets.
   kJaccard,
 };
-
-/// Parse "paper" / "uniform" / "overlap" / "jaccard"; throws
-/// std::invalid_argument otherwise.
-[[nodiscard]] IgWeighting parse_ig_weighting(std::string_view name);
 
 /// Printable name of a weighting scheme.
 [[nodiscard]] const char* to_string(IgWeighting w);

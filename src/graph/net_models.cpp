@@ -1,20 +1,8 @@
 #include "graph/net_models.hpp"
 
-#include <stdexcept>
-#include <string>
-
 #include "graph/clique_model.hpp"
 
 namespace netpart {
-
-NetModel parse_net_model(std::string_view name) {
-  if (name == "clique") return NetModel::kClique;
-  if (name == "path") return NetModel::kPath;
-  if (name == "star") return NetModel::kStar;
-  if (name == "cycle") return NetModel::kCycle;
-  throw std::invalid_argument("unknown net model '" + std::string(name) +
-                              "'");
-}
 
 const char* to_string(NetModel model) {
   switch (model) {

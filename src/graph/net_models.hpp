@@ -1,7 +1,5 @@
 #pragma once
 
-#include <string_view>
-
 #include "graph/weighted_graph.hpp"
 #include "hypergraph/hypergraph.hpp"
 
@@ -25,9 +23,6 @@ enum class NetModel {
   kStar,    ///< k-1 edges from the first pin to the rest, same weight
   kCycle,   ///< k edges closing the path into a ring, weight 1/2
 };
-
-/// Parse "clique" / "path" / "star" / "cycle".
-[[nodiscard]] NetModel parse_net_model(std::string_view name);
 
 /// Printable name.
 [[nodiscard]] const char* to_string(NetModel model);

@@ -133,10 +133,59 @@ Hypergraph HypergraphBuilder::build() {
     h.net_offsets_[i + 1] = h.net_offsets_[i] + net_sizes_[i];
   h.net_pins_ = std::move(all_pins_);
   h.net_weights_ = std::move(net_weights_);
+  build_transpose(h, num_modules_);
 
-  // Transpose: module -> incident nets, naturally sorted because we scan
-  // nets in ascending order.
-  h.module_offsets_.assign(static_cast<std::size_t>(num_modules_) + 1, 0);
+  // Reset builder for reuse.
+  name_.clear();
+  net_sizes_.clear();
+  net_weights_.clear();
+  all_pins_.clear();
+  return h;
+}
+
+Hypergraph HypergraphBuilder::from_canonical_nets(
+    std::int32_t num_modules, std::string name,
+    std::vector<std::int64_t> net_offsets, std::vector<ModuleId> net_pins,
+    std::vector<std::int32_t> net_weights) {
+  if (num_modules < 0)
+    throw std::invalid_argument(
+        "from_canonical_nets: negative module count");
+  if (net_offsets.empty() || net_offsets.front() != 0 ||
+      net_offsets.back() != static_cast<std::int64_t>(net_pins.size()) ||
+      net_weights.size() != net_offsets.size() - 1)
+    throw std::invalid_argument("from_canonical_nets: malformed CSR");
+  for (std::size_t n = 0; n + 1 < net_offsets.size(); ++n) {
+    if (net_weights[n] < 1)
+      throw std::invalid_argument("from_canonical_nets: weight < 1");
+    const std::int64_t begin = net_offsets[n];
+    const std::int64_t end = net_offsets[n + 1];
+    if (end < begin)
+      throw std::invalid_argument("from_canonical_nets: malformed CSR");
+    for (std::int64_t i = begin; i < end; ++i) {
+      const ModuleId p = net_pins[static_cast<std::size_t>(i)];
+      if (p < 0 || p >= num_modules)
+        throw std::out_of_range("from_canonical_nets: bad module id " +
+                                std::to_string(p));
+      if (i > begin && p <= net_pins[static_cast<std::size_t>(i) - 1])
+        throw std::invalid_argument(
+            "from_canonical_nets: pins not strictly increasing");
+    }
+  }
+  Hypergraph h;
+  h.name_ = std::move(name);
+  h.net_offsets_ = std::move(net_offsets);
+  h.net_pins_ = std::move(net_pins);
+  h.net_weights_ = std::move(net_weights);
+  build_transpose(h, num_modules);
+  return h;
+}
+
+void HypergraphBuilder::build_transpose(Hypergraph& h,
+                                        std::int32_t num_modules) {
+  // Module -> incident nets, naturally sorted because we scan nets in
+  // ascending order.
+  const std::size_t m = h.net_offsets_.size() - 1;
+  h.module_offsets_.assign(static_cast<std::size_t>(num_modules) + 1, 0);
   for (const ModuleId p : h.net_pins_)
     ++h.module_offsets_[static_cast<std::size_t>(p) + 1];
   for (std::size_t i = 1; i < h.module_offsets_.size(); ++i)
@@ -151,13 +200,6 @@ Hypergraph HypergraphBuilder::build() {
           static_cast<NetId>(n);
     }
   }
-
-  // Reset builder for reuse.
-  name_.clear();
-  net_sizes_.clear();
-  net_weights_.clear();
-  all_pins_.clear();
-  return h;
 }
 
 }  // namespace netpart

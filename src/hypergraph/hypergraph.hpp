@@ -21,7 +21,8 @@ using NetId = std::int32_t;
 /// An immutable netlist hypergraph with CSR storage in both directions:
 /// net -> pins (member modules) and module -> incident nets.
 ///
-/// Invariants (checked by HypergraphBuilder::build):
+/// Invariants (established by HypergraphBuilder::build and checked by
+/// HypergraphBuilder::from_canonical_nets):
 ///  - every pin is a valid module id;
 ///  - within one net, pins are sorted and duplicate-free;
 ///  - within one module, incident nets are sorted and duplicate-free;
@@ -154,7 +155,22 @@ class HypergraphBuilder {
   /// can be reused for a new design of the same module count.
   [[nodiscard]] Hypergraph build();
 
+  /// Build straight from nets already in canonical form, without add_net's
+  /// per-net copy, sort and dedup: net i has pins
+  /// `net_pins[net_offsets[i], net_offsets[i + 1])`, strictly increasing,
+  /// and weight `net_weights[i]`; `net_offsets` starts at 0 and ends at
+  /// `net_pins.size()`.  The result equals adding the same nets one by one.
+  /// Throws std::out_of_range on an invalid module id and
+  /// std::invalid_argument on a weight < 1 or arrays not in that form.
+  [[nodiscard]] static Hypergraph from_canonical_nets(
+      std::int32_t num_modules, std::string name,
+      std::vector<std::int64_t> net_offsets, std::vector<ModuleId> net_pins,
+      std::vector<std::int32_t> net_weights);
+
  private:
+  /// Fill `h`'s module -> nets CSR from its net -> pins CSR.
+  static void build_transpose(Hypergraph& h, std::int32_t num_modules);
+
   std::int32_t num_modules_;
   std::string name_;
   std::vector<std::int32_t> net_sizes_;

@@ -42,7 +42,7 @@ bool refine_recursively(const Hypergraph& h,
   for (ModuleId m = 0; m < h.num_modules(); ++m)
     if (fate[static_cast<std::size_t>(m)] == ModuleFate::kUnresolved)
       unresolved.push_back(m);
-  if (unresolved.size() < 4 || options.recursion_depth <= 0) return false;
+  if (unresolved.size() < 4) return false;
 
   // Sub-hypergraph: unresolved modules plus two anchors.  Every net with an
   // unresolved pin is projected: fixed-left pins collapse to anchor L,
@@ -82,8 +82,7 @@ bool refine_recursively(const Hypergraph& h,
   const Hypergraph sub = builder.build();
 
   IgMatchOptions sub_options = options;
-  sub_options.recursive = options.recursion_depth > 1;
-  sub_options.recursion_depth = options.recursion_depth - 1;
+  sub_options.recursive = false;
   sub_options.record_splits = false;
   const IgMatchResult sub_result = igmatch_partition(sub, sub_options);
   if (!sub_result.partition.is_proper()) return false;
@@ -204,7 +203,7 @@ IgMatchResult igmatch_sweep(const Hypergraph& h, const WeightedGraph& ig,
   result.nets_cut = best_cut;
   result.ratio = best_ratio;
 
-  if (options.recursive && options.recursive_candidates > 0) {
+  if (options.recursive) {
     // Refine the top-K splits by wholesale ratio, not just the winner:
     // near-optimal splits often leave a larger unresolved core where the
     // recursive completion has room to work.
@@ -216,7 +215,7 @@ IgMatchResult igmatch_sweep(const Hypergraph& h, const WeightedGraph& ig,
     std::vector<std::int32_t> chosen;
     for (const auto& [ratio, rank] : ratio_by_rank) {
       if (static_cast<std::int32_t>(chosen.size()) >=
-          options.recursive_candidates)
+          kIgMatchRecursiveCandidates)
         break;
       bool close = false;
       for (const std::int32_t c : chosen)

@@ -41,18 +41,18 @@ struct IgMatchOptions {
   /// Record per-split instrumentation (matching bound, achieved cut).
   bool record_splits = false;
   /// Enable the recursive completion of Section 3's "future work": instead
-  /// of assigning the unresolved modules wholesale, recursively partition
-  /// them (with anchor pseudo-modules representing the fixed sides) and
-  /// keep the refinement when it improves the ratio cut.
+  /// of assigning the unresolved modules wholesale, partition them once
+  /// more (with anchor pseudo-modules representing the fixed sides; that
+  /// sub-run completes wholesale) and keep the refinement when it improves
+  /// the ratio cut.
   bool recursive = false;
-  /// Recursion guard for the recursive completion.
-  std::int32_t recursion_depth = 1;
-  /// Number of best-by-wholesale-ratio splits the recursive completion
-  /// attempts to refine (different splits leave different unresolved
-  /// cores; refining only the single winner is often a no-op because its
-  /// core is tiny).
-  std::int32_t recursive_candidates = 8;
 };
+
+/// Number of best-by-wholesale-ratio splits the recursive completion
+/// attempts to refine (different splits leave different unresolved cores;
+/// refining only the single winner is often a no-op because its core is
+/// tiny).
+inline constexpr std::int32_t kIgMatchRecursiveCandidates = 8;
 
 /// Per-split record (filled when record_splits is set).
 struct IgMatchSplitRecord {

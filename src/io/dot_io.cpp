@@ -1,6 +1,5 @@
 #include "io/dot_io.hpp"
 
-#include <algorithm>
 #include <ostream>
 
 namespace netpart::io {
@@ -27,30 +26,6 @@ void write_dot_netlist(std::ostream& out, const Hypergraph& h,
     out << "];\n";
     for (const ModuleId m : h.pins(n))
       out << "  n" << n << " -- m" << m << ";\n";
-  }
-  out << "}\n";
-}
-
-void write_dot_graph(std::ostream& out, const WeightedGraph& g,
-                     const char* graph_name) {
-  double max_weight = 0.0;
-  for (std::int32_t v = 0; v < g.num_vertices(); ++v)
-    for (const double w : g.weights(v)) max_weight = std::max(max_weight, w);
-  if (max_weight <= 0.0) max_weight = 1.0;
-
-  out << "graph " << graph_name << " {\n"
-      << "  layout=neato;\n  overlap=false;\n";
-  for (std::int32_t v = 0; v < g.num_vertices(); ++v)
-    out << "  v" << v << ";\n";
-  for (std::int32_t v = 0; v < g.num_vertices(); ++v) {
-    const auto neighbors = g.neighbors(v);
-    const auto weights = g.weights(v);
-    for (std::size_t k = 0; k < neighbors.size(); ++k) {
-      if (neighbors[k] <= v) continue;  // emit each undirected edge once
-      const double penwidth = 0.5 + 3.0 * weights[k] / max_weight;
-      out << "  v" << v << " -- v" << neighbors[k] << " [penwidth="
-          << penwidth << "];\n";
-    }
   }
   out << "}\n";
 }

@@ -2,13 +2,12 @@
 
 #include <iosfwd>
 
-#include "graph/weighted_graph.hpp"
 #include "hypergraph/hypergraph.hpp"
 #include "hypergraph/partition.hpp"
 
 /// \file dot_io.hpp
-/// Graphviz DOT exporters for visual inspection of netlists, intersection
-/// graphs and partitions (render with `dot -Tsvg` / `neato -Tsvg`).
+/// Graphviz DOT exporter for visual inspection of netlists and partitions
+/// (render with `dot -Tsvg` / `neato -Tsvg`).
 
 namespace netpart::io {
 
@@ -27,10 +26,5 @@ struct DotOptions {
 /// hypergraph.
 void write_dot_netlist(std::ostream& out, const Hypergraph& h,
                        const DotOptions& options = {});
-
-/// Write a weighted graph (clique expansion, intersection graph, ...) as a
-/// plain DOT graph with penwidth scaled by edge weight.
-void write_dot_graph(std::ostream& out, const WeightedGraph& g,
-                     const char* graph_name = "netpart");
 
 }  // namespace netpart::io

@@ -9,7 +9,6 @@
 #include <fstream>
 #include <istream>
 #include <limits>
-#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -19,14 +18,15 @@ namespace netpart::io {
 
 namespace {
 
-/// Fetch the next non-comment, non-blank line.  Returns false on EOF.
+/// Fetch the next non-blank line that is not a '#' comment.  Returns false
+/// on EOF.
 bool next_content_line(std::istream& in, std::string& line,
-                       std::int64_t& line_no, char comment_char) {
+                       std::int64_t& line_no) {
   while (std::getline(in, line)) {
     ++line_no;
     std::size_t i = 0;
     while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    if (i == line.size() || line[i] == comment_char) continue;
+    if (i == line.size() || line[i] == '#') continue;
     return true;
   }
   return false;
@@ -245,66 +245,11 @@ void write_hgr_file(const std::string& path, const Hypergraph& h) {
   write_hgr(out, h);
 }
 
-Hypergraph read_netd(std::istream& in) {
-  std::string line;
-  std::int64_t line_no = 0;
-  std::string name;
-  std::int64_t num_modules = -1;
-  HypergraphBuilder* builder = nullptr;
-  // We need num_modules before constructing the builder; store nets seen
-  // before the builder exists is disallowed by the format (modules line
-  // must precede nets).
-  std::optional<HypergraphBuilder> opt_builder;
-  std::vector<ModuleId> pins;
-
-  while (next_content_line(in, line, line_no, '#')) {
-    std::istringstream ls(line);
-    std::string keyword;
-    ls >> keyword;
-    if (keyword == "netlist") {
-      ls >> name;
-    } else if (keyword == "modules") {
-      if (!(ls >> num_modules) || num_modules < 0)
-        throw ParseError("bad module count", line_no);
-      opt_builder.emplace(static_cast<std::int32_t>(num_modules));
-      builder = &*opt_builder;
-    } else if (keyword == "net") {
-      if (builder == nullptr)
-        throw ParseError("'net' before 'modules'", line_no);
-      pins.clear();
-      std::int64_t pin = 0;
-      while (ls >> pin) {
-        if (pin < 0 || pin >= num_modules)
-          throw ParseError("pin " + std::to_string(pin) + " out of range",
-                           line_no);
-        pins.push_back(static_cast<ModuleId>(pin));
-      }
-      if (!ls.eof()) throw ParseError("non-numeric pin", line_no);
-      builder->add_net(pins);
-    } else {
-      throw ParseError("unknown keyword '" + keyword + "'", line_no);
-    }
-  }
-  if (builder == nullptr) throw ParseError("missing 'modules' line", line_no);
-  builder->set_name(std::move(name));
-  return builder->build();
-}
-
-void write_netd(std::ostream& out, const Hypergraph& h) {
-  if (!h.name().empty()) out << "netlist " << h.name() << '\n';
-  out << "modules " << h.num_modules() << '\n';
-  for (NetId n = 0; n < h.num_nets(); ++n) {
-    out << "net";
-    for (const ModuleId m : h.pins(n)) out << ' ' << m;
-    out << '\n';
-  }
-}
-
 Partition read_partition(std::istream& in) {
   std::vector<Side> sides;
   std::string line;
   std::int64_t line_no = 0;
-  while (next_content_line(in, line, line_no, '#')) {
+  while (next_content_line(in, line, line_no)) {
     std::istringstream ls(line);
     char c = 0;
     ls >> c;

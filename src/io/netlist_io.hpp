@@ -9,17 +9,14 @@
 #include "hypergraph/partition.hpp"
 
 /// \file netlist_io.hpp
-/// Reading and writing netlist hypergraphs.
+/// Reading and writing netlist hypergraphs and partitions.
 ///
-/// Two formats are supported:
-///  - hMETIS ".hgr": first non-comment line is "<num_nets> <num_modules>",
-///    then one line per net listing its 1-based pins.  Comment lines start
-///    with '%'.  This is the de-facto exchange format for hypergraph
-///    partitioning benchmarks (the MCNC suites circulate in it), so real
-///    benchmark files drop straight in.  read_hgr documents the exact
-///    grammar.
-///  - "netd" named format: "netlist <name>", "modules <n>", then lines
-///    "net <pin> <pin> ..." with 0-based pins.  '#' starts a comment.
+/// Netlists use the hMETIS ".hgr" format: the first non-comment line is
+/// "<num_nets> <num_modules>", then one line per net lists its 1-based
+/// pins.  Comment lines start with '%'.  This is the de-facto exchange
+/// format for hypergraph partitioning benchmarks (the MCNC suites circulate
+/// in it), so real benchmark files drop straight in.  read_hgr documents
+/// the exact grammar.
 ///
 /// Partitions are written/read as one side character ('L'/'R') per module
 /// line, so results can be diffed between runs.
@@ -76,12 +73,6 @@ void write_hgr(std::ostream& out, const Hypergraph& h);
 
 /// Write an .hgr file to disk; throws std::runtime_error if unopenable.
 void write_hgr_file(const std::string& path, const Hypergraph& h);
-
-/// Parse the named "netd" format.
-[[nodiscard]] Hypergraph read_netd(std::istream& in);
-
-/// Serialize to the named "netd" format.
-void write_netd(std::ostream& out, const Hypergraph& h);
 
 /// Read a partition: one 'L' or 'R' per line, one line per module.
 [[nodiscard]] Partition read_partition(std::istream& in);

@@ -113,7 +113,7 @@ LanczosResult block_lanczos_smallest(
   const auto thick_restart = [&](const DenseEigen& eig) {
     const std::size_t k = basis.size();
     const auto keep = static_cast<std::size_t>(std::clamp(
-        options.restart_keep, 1,
+        kBlockLanczosRestartKeep, 1,
         static_cast<std::int32_t>(k) - 1));
     std::vector<std::vector<double>> new_basis;
     std::vector<std::vector<double>> new_images;
@@ -141,7 +141,7 @@ LanczosResult block_lanczos_smallest(
     result.iterations = static_cast<std::int32_t>(basis.size());
     const bool full = static_cast<std::int32_t>(basis.size()) >= basis_cap;
     ++steps_since_check;
-    if (full || steps_since_check >= options.check_interval) {
+    if (full || steps_since_check >= kBlockLanczosCheckInterval) {
       steps_since_check = 0;
       const std::size_t k = basis.size();
       const DenseEigen eig = jacobi_eigen(t, k);
@@ -160,7 +160,7 @@ LanczosResult block_lanczos_smallest(
         return result;
       }
       if (full) {
-        if (restarts >= options.max_restarts ||
+        if (restarts >= kBlockLanczosMaxRestarts ||
             static_cast<std::int32_t>(k) >= free_dim)
           return result;  // honest: out of budget or space, not converged
         ++restarts;

@@ -27,19 +27,20 @@
 
 namespace netpart::linalg {
 
+/// Ritz vectors kept across a thick restart.
+inline constexpr std::int32_t kBlockLanczosRestartKeep = 16;
+/// Restarts before giving up (honest converged = false).
+inline constexpr std::int32_t kBlockLanczosMaxRestarts = 24;
+/// The projected eigenproblem is solved every this many block steps.
+inline constexpr std::int32_t kBlockLanczosCheckInterval = 2;
+
 /// Options for the block solver.
 struct BlockLanczosOptions {
   std::int32_t block_size = 4;
   /// Basis dimension at which a thick restart compresses the subspace.
   std::int32_t max_basis = 96;
-  /// Ritz vectors kept across a thick restart.
-  std::int32_t restart_keep = 16;
-  /// Restarts before giving up (honest converged=false).
-  std::int32_t max_restarts = 24;
   /// Converged when ||A x - theta x|| <= tolerance * max(inf_norm(A), 1).
   double tolerance = 1e-9;
-  /// Solve the projected eigenproblem every this many block steps.
-  std::int32_t check_interval = 2;
   std::uint64_t seed = 0xB10CB10CULL;
 };
 

@@ -52,32 +52,6 @@ FiedlerResult fiedler_pair(const CsrMatrix& q, const LanczosOptions& options) {
   return out;
 }
 
-SpectralBasis laplacian_eigenpairs(const CsrMatrix& q, std::int32_t k,
-                                   const LanczosOptions& options) {
-  const std::int32_t n = q.dim();
-  if (n < 1)
-    throw std::invalid_argument("laplacian_eigenpairs: empty Laplacian");
-  if (k < 1) throw std::invalid_argument("laplacian_eigenpairs: k < 1");
-
-  SpectralBasis basis;
-  basis.converged = true;
-  std::vector<std::vector<double>> deflation{std::vector<double>(
-      static_cast<std::size_t>(n), 1.0 / std::sqrt(static_cast<double>(n)))};
-  const std::int32_t available = std::min(k, n - 1);
-  for (std::int32_t i = 0; i < available; ++i) {
-    LanczosOptions run = options;
-    run.seed = options.seed +
-               static_cast<std::uint64_t>(i) * std::uint64_t{0x51ED5EED};
-    const LanczosResult r = smallest_eigenpair(q, deflation, run);
-    basis.converged = basis.converged && r.converged;
-    basis.values.push_back(r.eigenvalue);
-    basis.vectors.push_back(r.eigenvector);
-    deflation.push_back(r.eigenvector);
-  }
-  basis.converged = basis.converged && available == k;
-  return basis;
-}
-
 std::vector<std::int32_t> sorted_order(const std::vector<double>& vector) {
   std::vector<std::int32_t> order(vector.size());
   std::iota(order.begin(), order.end(), 0);

@@ -11,7 +11,9 @@
 /// eigenpair).  Theorem 1 of the paper (Hagen-Kahng) ties its eigenvalue to
 /// a lower bound on the optimal ratio cut, c >= lambda_2 / n, and its
 /// eigenvector — sorted — is the linear ordering every spectral algorithm
-/// in this library starts from.
+/// in this library starts from.  That one eigenpair is all of the spectrum
+/// the library computes; fiedler_pair_block (block_lanczos.hpp) is the
+/// block-solver variant of the same computation.
 
 namespace netpart::linalg {
 
@@ -35,19 +37,5 @@ struct FiedlerResult {
 /// index so the ordering is fully deterministic.
 [[nodiscard]] std::vector<std::int32_t> sorted_order(
     const std::vector<double>& vector);
-
-/// The k smallest non-trivial eigenpairs of a Laplacian (lambda_2 ..
-/// lambda_{k+1}), computed by repeated Lanczos runs with deflation of the
-/// all-ones kernel vector and of each previously found eigenvector.  Used
-/// by the Appendix A / Hall quadratic-placement demo, which needs the
-/// second AND third eigenvectors for a 2-D embedding.
-struct SpectralBasis {
-  std::vector<double> values;                ///< ascending, size <= k
-  std::vector<std::vector<double>> vectors;  ///< unit, mutually orthogonal
-  bool converged = false;                    ///< all requested pairs found
-};
-
-[[nodiscard]] SpectralBasis laplacian_eigenpairs(
-    const CsrMatrix& q, std::int32_t k, const LanczosOptions& options = {});
 
 }  // namespace netpart::linalg

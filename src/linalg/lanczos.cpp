@@ -74,7 +74,7 @@ LanczosResult smallest_eigenpair(
   const std::int32_t free_dim =
       n - static_cast<std::int32_t>(deflation.size());
   const std::int32_t max_steps =
-      std::min(options.max_iterations, std::max(free_dim, 1));
+      std::min(kLanczosMaxIterations, std::max(free_dim, 1));
   const double anorm = std::max(a.inf_norm(), 1.0);
   const double convergence_bound = options.tolerance * anorm;
 
@@ -138,7 +138,7 @@ LanczosResult smallest_eigenpair(
     const bool last_step = j + 1 == max_steps;
     const bool breakdown = beta_j <= 1e-12 * anorm;
     const bool check = last_step || breakdown ||
-                       (j + 1) % options.check_interval == 0;
+                       (j + 1) % kLanczosCheckInterval == 0;
     if (check) {
       // Cheap gate first: only assemble the (O(k^3)) Ritz vector once the
       // smallest Ritz value has stopped moving between checks.

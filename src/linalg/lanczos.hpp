@@ -17,8 +17,9 @@
 ///
 /// Full (rather than selective) reorthogonalization costs O(k^2 n) over k
 /// iterations but is unconditionally robust against ghost eigenvalues; for
-/// the benchmark sizes here (n <= ~3300, k <= ~300) that is well under a
-/// second.
+/// the benchmark sizes here (n <= ~3300, k <= kLanczosMaxIterations = 400)
+/// that is well under a second.  The step cap and the Ritz-check cadence
+/// are fixed constants; the options carry only the tolerance and the seed.
 ///
 /// Every run starts from the seeded random direction, so a solve is a pure
 /// function of the matrix and the options.  Incremental repartitioning
@@ -27,13 +28,16 @@
 
 namespace netpart::linalg {
 
+/// Lanczos steps per run; a run that has not converged by then reports
+/// converged = false.
+inline constexpr std::int32_t kLanczosMaxIterations = 400;
+/// The tridiagonal Ritz problem is solved every this many steps.
+inline constexpr std::int32_t kLanczosCheckInterval = 8;
+
 /// Options for the Lanczos solver.
 struct LanczosOptions {
-  std::int32_t max_iterations = 400;
   /// Converged when ||A x - theta x|| <= tolerance * max(inf_norm(A), 1).
   double tolerance = 1e-9;
-  /// Solve the tridiagonal Ritz problem every this many iterations.
-  std::int32_t check_interval = 8;
   /// Seed of the deterministic starting vector.
   std::uint64_t seed = 0x9E3779B97F4A7C15ULL;
 };

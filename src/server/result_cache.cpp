@@ -11,10 +11,11 @@ std::uint64_t repartition_config_hash(
   Fnv1a fnv;
   fnv.add_string("igmatch/repartition-v1");
   fnv.add_i32(static_cast<std::int32_t>(options.weighting));
-  fnv.add_i32(options.lanczos.max_iterations);
   fnv.add_double(options.lanczos.tolerance);
-  fnv.add_i32(options.lanczos.check_interval);
   fnv.add_u64(options.lanczos.seed);
+  fnv.add_i32(options.vcycle_threshold);
+  fnv.add_i32(options.vcycle.coarsen_to);
+  fnv.add_i32(options.vcycle.vcycles);
   return fnv.digest();
 }
 

@@ -56,9 +56,12 @@ struct CachedResult {
   repart::SessionWarmState warm;
 };
 
-/// Hash of the RepartitionOptions fields that influence results.  Folded
-/// into every cache key so a configuration change can never serve results
-/// computed under another configuration.
+/// Hash of the RepartitionOptions fields that influence results: the
+/// weighting, the Lanczos tolerance and seed, and the V-cycle threshold,
+/// coarsening floor and cycle count that netpartd's flags set.  The other
+/// MultilevelOptions fields keep their defaults in the server and are not
+/// folded.  Folded into every cache key so a configuration change can never
+/// serve results computed under another configuration.
 [[nodiscard]] std::uint64_t repartition_config_hash(
     const repart::RepartitionOptions& options);
 

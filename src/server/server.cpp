@@ -529,13 +529,13 @@ runtime::RequestClass Server::classify(const Request& req) {
   }
   const auto s = sessions_.find(req.session, steady_now_ms());
   if (!s) return runtime::RequestClass::kHit;  // cheap `no_session` error
-  switch (s->admission_hint.load(std::memory_order_relaxed)) {
-    case kHintPrimed:
-      return runtime::RequestClass::kHit;  // replay of the held answer
-    case kHintEdited:
-      return runtime::RequestClass::kWarm;  // incremental ECO repartition
-    default:
-      break;
+  const std::uint8_t flags = s->stat_flags.load(std::memory_order_relaxed);
+  if (flags & ServerSession::kStatPrimed) {
+    // Pending edits: an incremental ECO repartition; none: a replay of the
+    // held answer.
+    return (flags & ServerSession::kStatPendingEdits)
+               ? runtime::RequestClass::kWarm
+               : runtime::RequestClass::kHit;
   }
   // Unprimed: a result-cache hit still serves in microseconds.
   if (req.use_cache &&
@@ -958,7 +958,8 @@ std::string Server::do_load(const Request& req) {
   const std::uint64_t hash = netlist_content_hash(h);
   const std::int32_t modules = h.num_modules();
   const std::int32_t nets = h.num_nets();
-  sessions_.create(req.session, h, hash, steady_now_ms());
+  sessions_.create(req.session, h, hash, options_.repartition,
+                   steady_now_ms());
   NETPART_COUNTER_ADD("server.loads", 1);
   return std::move(ResponseBuilder(req.id, true)
                        .add_string("session", req.session)
@@ -1009,9 +1010,8 @@ std::string Server::do_partition(const Request& req, bool& cache_hit) {
       cache_hit = true;
       s->session.import_warm_state(hit->warm);
       s->last = hit->result;
-      s->last_was_warm = false;
       s->primed = true;
-      s->publish_admission_hint();
+      s->publish_mirrors();
       ResponseBuilder rb(req.id, true);
       rb.add_string("session", s->name)
           .add_string("served_from", "cache")
@@ -1026,12 +1026,11 @@ std::string Server::do_partition(const Request& req, bool& cache_hit) {
   const repart::RepartitionResult r = s->session.repartition();
   const bool had_edits = s->pending_edits;
   s->last = r;
-  s->last_was_warm = r.warm_started;
   s->primed = true;
   s->pending_edits = false;
   if (had_edits)
     s->netlist_hash = netlist_content_hash(s->session.hypergraph());
-  s->publish_admission_hint();
+  s->publish_mirrors();
 
   // Memoize cold runs only: a cold result (and its warm state) is a pure
   // function of (netlist content, config); warm ECO results are
@@ -1066,15 +1065,15 @@ std::string Server::do_edit(const Request& req) {
       // Any op may have landed before a failure below, so flag first: the
       // session must not serve a stale `last` after a half-applied batch.
       s->pending_edits = true;
-      s->publish_admission_hint();
+      s->publish_mirrors();
       s->applier.apply(batch);
       ops += static_cast<std::int64_t>(batch.size());
     }
     // Republish: the loop publishes before each apply, so the off-lane
     // module/net mirrors are one batch stale until this.
-    s->publish_admission_hint();
+    s->publish_mirrors();
   } catch (...) {
-    s->publish_admission_hint();
+    s->publish_mirrors();
     throw;
   }
   NETPART_COUNTER_ADD("server.edits", ops);

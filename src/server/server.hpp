@@ -214,8 +214,8 @@ class Server {
                     std::int64_t read_ns);
   void enqueue(const std::shared_ptr<Conn>& conn, Request req,
                std::int64_t wire_bytes, std::int64_t read_ns);
-  /// Classify a request into an admission class from lock-free session
-  /// hints and a non-counting cache probe.  A stale hint mis-classifies
+  /// Classify a request into an admission class from the sessions' lock-free
+  /// mirrors and a non-counting cache probe.  A stale mirror mis-classifies
   /// (sheds or admits sub-optimally) but never changes an answer.
   [[nodiscard]] runtime::RequestClass classify(const Request& req);
 

@@ -4,8 +4,10 @@ namespace netpart::server {
 
 std::shared_ptr<ServerSession> SessionManager::create(
     const std::string& name, const Hypergraph& initial,
-    std::uint64_t content_hash, std::int64_t now_ms) {
-  auto session = std::make_shared<ServerSession>(name, initial, content_hash);
+    std::uint64_t content_hash, const repart::RepartitionOptions& options,
+    std::int64_t now_ms) {
+  auto session =
+      std::make_shared<ServerSession>(name, initial, content_hash, options);
   session->last_used_ms.store(now_ms, std::memory_order_relaxed);
   const std::lock_guard<std::mutex> lock(mutex_);
   sessions_[name] = session;

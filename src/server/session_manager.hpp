@@ -27,24 +27,15 @@
 
 namespace netpart::server {
 
-/// Classification hints published by the session's executor lane and read
-/// by the I/O thread's admission controller (server/runtime/admission.hpp).
-/// Values describe what serve path the *next* partition request on this
-/// session would take.
-enum AdmissionHint : std::uint8_t {
-  kHintCold = 0,    ///< no primed answer; next partition is a cold solve
-  kHintPrimed = 1,  ///< primed, no pending edits; next partition is a replay
-  kHintEdited = 2,  ///< pending edits; next partition is a warm ECO run
-};
-
 /// One live session.  Fields other than `last_used_ms` and the atomic
-/// mirrors (`admission_hint`/`admission_hash`/`stat_*`) are owned by the
-/// session's executor lane; other threads read only the mirrors.
+/// mirrors (`admission_hash`/`stat_*`) are owned by the session's executor
+/// lane; other threads read only the mirrors.
 struct ServerSession {
   ServerSession(std::string session_name, const Hypergraph& initial,
-                std::uint64_t content_hash)
+                std::uint64_t content_hash,
+                const repart::RepartitionOptions& options)
       : name(std::move(session_name)),
-        session(initial),
+        session(initial, options),
         applier(session.netlist()),
         netlist_hash(content_hash) {
     admission_hash.store(content_hash, std::memory_order_relaxed);
@@ -69,29 +60,25 @@ struct ServerSession {
   bool pending_edits = false;
   /// Last answer; meaningful when primed && !pending_edits.
   repart::RepartitionResult last;
-  /// Whether `last` was computed by a warm (history-dependent) run; warm
-  /// results must never enter the result cache.
-  bool last_was_warm = false;
 
   std::atomic<std::int64_t> last_used_ms{0};
 
-  /// Lock-free mirror of (primed, pending_edits) for I/O-thread admission
-  /// classification.  The executor lane updates it after every state change;
-  /// the hint may lag the authoritative fields by in-flight requests, which
-  /// only mis-classifies (never mis-answers) a request.
-  std::atomic<std::uint8_t> admission_hint{kHintCold};
-  /// Mirror of `netlist_hash` for the same purpose (cache-hit probing).
+  /// Mirror of `netlist_hash` for the I/O thread's admission classification
+  /// (cache-hit probing, server/runtime/admission.hpp).
   std::atomic<std::uint64_t> admission_hash{0};
 
   /// Bit flags for `stat_flags`: an exact mirror of (primed, pending_edits)
-  /// readable off-lane.  Unlike `admission_hint`, this keeps the two bits
-  /// independent (an unprimed session with pending edits is representable).
+  /// readable off-lane.  The two bits are independent (an unprimed session
+  /// with pending edits is representable).
   static constexpr std::uint8_t kStatPrimed = 1;
   static constexpr std::uint8_t kStatPendingEdits = 2;
 
-  /// Off-lane mirrors of lane-owned state for the `sessions` listing: the
-  /// op runs on lane 0 and must not touch the hypergraph or the bool
-  /// fields of sessions pinned to other lanes.
+  /// Off-lane mirrors of lane-owned state, read by admission classification
+  /// and by the `sessions` listing: neither runs on the session's lane, so
+  /// neither may touch the hypergraph or the bool fields.  The executor
+  /// lane updates them after every state change; they may lag the
+  /// authoritative fields by in-flight requests, which only mis-classifies
+  /// (never mis-answers) a request.
   std::atomic<std::uint8_t> stat_flags{0};
   std::atomic<std::int32_t> stat_modules{0};
   std::atomic<std::int32_t> stat_nets{0};
@@ -99,10 +86,7 @@ struct ServerSession {
   /// Publish the lock-free mirrors from the authoritative executor-owned
   /// fields.  Call after any mutation of primed/pending_edits/netlist_hash
   /// or of the hypergraph itself (edits change module/net counts).
-  void publish_admission_hint() {
-    std::uint8_t hint = kHintCold;
-    if (primed) hint = pending_edits ? kHintEdited : kHintPrimed;
-    admission_hint.store(hint, std::memory_order_relaxed);
+  void publish_mirrors() {
     admission_hash.store(netlist_hash, std::memory_order_relaxed);
     std::uint8_t flags = 0;
     if (primed) flags |= kStatPrimed;
@@ -118,11 +102,12 @@ class SessionManager {
  public:
   SessionManager() = default;
 
-  /// Create (or replace) the named session.  Returns the new session.
-  std::shared_ptr<ServerSession> create(const std::string& name,
-                                        const Hypergraph& initial,
-                                        std::uint64_t content_hash,
-                                        std::int64_t now_ms);
+  /// Create (or replace) the named session, repartitioning under
+  /// `options`.  Returns the new session.
+  std::shared_ptr<ServerSession> create(
+      const std::string& name, const Hypergraph& initial,
+      std::uint64_t content_hash, const repart::RepartitionOptions& options,
+      std::int64_t now_ms);
 
   /// Look up a session and touch its last-used time; nullptr when absent.
   [[nodiscard]] std::shared_ptr<ServerSession> find(const std::string& name,

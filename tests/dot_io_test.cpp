@@ -53,28 +53,5 @@ TEST(DotNetlist, MaxNetSizeFiltersLargeNets) {
   EXPECT_EQ(dot.find("n1 "), std::string::npos);
 }
 
-TEST(DotGraph, EmitsEachEdgeOnceWithPenwidth) {
-  const WeightedGraph g =
-      WeightedGraph::from_edges(3, {{0, 1, 1.0}, {1, 2, 2.0}});
-  std::ostringstream os;
-  write_dot_graph(os, g, "ig");
-  const std::string dot = os.str();
-  EXPECT_NE(dot.find("graph ig {"), std::string::npos);
-  EXPECT_NE(dot.find("v0 -- v1"), std::string::npos);
-  EXPECT_NE(dot.find("v1 -- v2"), std::string::npos);
-  EXPECT_EQ(dot.find("v1 -- v0"), std::string::npos);  // once per edge
-  // The heavier edge gets the maximum penwidth (3.5).
-  EXPECT_NE(dot.find("v1 -- v2 [penwidth=3.5]"), std::string::npos);
-}
-
-TEST(DotGraph, EmptyGraphStillValid) {
-  const WeightedGraph g = WeightedGraph::from_edges(2, {});
-  std::ostringstream os;
-  write_dot_graph(os, g);
-  const std::string dot = os.str();
-  EXPECT_NE(dot.find("v0;"), std::string::npos);
-  EXPECT_NE(dot.find("}"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace netpart::io

@@ -116,6 +116,66 @@ TEST(HypergraphBuilder, ReusableAfterBuild) {
   EXPECT_TRUE(second.contains(0, 2));
 }
 
+TEST(HypergraphBuilder, CanonicalNetsEqualAddingThemOneByOne) {
+  HypergraphBuilder b(5);
+  b.set_name("csr");
+  b.add_net({0, 3, 4}, 2);
+  b.add_net({1, 2});
+  b.add_net({4}, 7);
+  b.add_net({0, 1, 2, 3});
+  const Hypergraph expected = b.build();
+  const Hypergraph h = HypergraphBuilder::from_canonical_nets(
+      5, "csr", {0, 3, 5, 6, 10}, {0, 3, 4, 1, 2, 4, 0, 1, 2, 3},
+      {2, 1, 7, 1});
+  EXPECT_EQ(h.name(), "csr");
+  ASSERT_EQ(h.num_modules(), expected.num_modules());
+  ASSERT_EQ(h.num_nets(), expected.num_nets());
+  for (NetId n = 0; n < h.num_nets(); ++n) {
+    const auto got = h.pins(n);
+    const auto want = expected.pins(n);
+    EXPECT_EQ(std::vector<ModuleId>(got.begin(), got.end()),
+              std::vector<ModuleId>(want.begin(), want.end()));
+    EXPECT_EQ(h.net_weight(n), expected.net_weight(n));
+  }
+  for (ModuleId m = 0; m < h.num_modules(); ++m) {
+    const auto got = h.nets_of(m);
+    const auto want = expected.nets_of(m);
+    EXPECT_EQ(std::vector<NetId>(got.begin(), got.end()),
+              std::vector<NetId>(want.begin(), want.end()));
+  }
+}
+
+TEST(HypergraphBuilder, CanonicalNetsRejectBrokenForm) {
+  using B = HypergraphBuilder;
+  EXPECT_THROW((void)B::from_canonical_nets(-1, "", {0}, {}, {}),
+               std::invalid_argument);
+  // Offsets must start at 0, end at the pin count and match the weights.
+  EXPECT_THROW((void)B::from_canonical_nets(3, "", {}, {}, {}),
+               std::invalid_argument);
+  EXPECT_THROW((void)B::from_canonical_nets(3, "", {1, 2}, {0, 1}, {1}),
+               std::invalid_argument);
+  EXPECT_THROW((void)B::from_canonical_nets(3, "", {0, 1}, {0, 1}, {1}),
+               std::invalid_argument);
+  EXPECT_THROW((void)B::from_canonical_nets(3, "", {0, 2}, {0, 1}, {}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)B::from_canonical_nets(3, "", {0, 2, 1, 2}, {0, 1}, {1, 1, 1}),
+      std::invalid_argument);
+  // Pins strictly increasing and in range; weights >= 1.
+  EXPECT_THROW((void)B::from_canonical_nets(3, "", {0, 2}, {1, 0}, {1}),
+               std::invalid_argument);
+  EXPECT_THROW((void)B::from_canonical_nets(3, "", {0, 2}, {1, 1}, {1}),
+               std::invalid_argument);
+  EXPECT_THROW((void)B::from_canonical_nets(3, "", {0, 2}, {0, 3}, {1}),
+               std::out_of_range);
+  EXPECT_THROW((void)B::from_canonical_nets(3, "", {0, 2}, {-1, 0}, {1}),
+               std::out_of_range);
+  EXPECT_THROW((void)B::from_canonical_nets(3, "", {0, 2}, {0, 1}, {0}),
+               std::invalid_argument);
+  // No nets at all is a valid (empty-netlist) form.
+  EXPECT_EQ(B::from_canonical_nets(3, "", {0}, {}, {}).num_modules(), 3);
+}
+
 TEST(Hypergraph, ConnectivityDetection) {
   HypergraphBuilder b(4);
   b.add_net({0, 1});

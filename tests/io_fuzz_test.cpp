@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "circuits/rng.hpp"
-#include "io/blif_io.hpp"
 #include "io/netlist_io.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
@@ -51,22 +50,6 @@ TEST_P(GarbageInputTest, HgrParserNeverCrashes) {
     EXPECT_EQ(pins, h.num_pins());
   } catch (const std::exception&) {
     // Rejection is the expected outcome.
-  }
-}
-
-TEST_P(GarbageInputTest, NetdParserNeverCrashes) {
-  std::istringstream in(random_garbage(GetParam() + 1000, 400));
-  try {
-    (void)read_netd(in);
-  } catch (const std::exception&) {
-  }
-}
-
-TEST_P(GarbageInputTest, BlifParserNeverCrashes) {
-  std::istringstream in(random_garbage(GetParam() + 2000, 400));
-  try {
-    (void)read_blif(in);
-  } catch (const std::exception&) {
   }
 }
 
@@ -142,23 +125,6 @@ TEST(IoEdgeCases, HgrLoneSignRejected) {
   // Dropping the lone sign would leave net {0,1}, and an empty net.
   EXPECT_THROW(read_hgr(std::string_view("1 3\n1 2 -\n")), ParseError);
   EXPECT_THROW(read_hgr(std::string_view("1 3\n-\n")), ParseError);
-}
-
-TEST(IoEdgeCases, NetdHugeModuleCountParsesButStaysEmpty) {
-  // Large module counts are legal (sparse designs); no nets is fine.
-  std::istringstream in("modules 1000000\n");
-  const Hypergraph h = read_netd(in);
-  EXPECT_EQ(h.num_modules(), 1000000);
-  EXPECT_EQ(h.num_nets(), 0);
-}
-
-TEST(IoEdgeCases, BlifDeepContinuationChain) {
-  std::string text = ".model chain\n.inputs";
-  for (int i = 0; i < 200; ++i) text += " \\\n s" + std::to_string(i);
-  text += "\n.names s0 s1 out\n11 1\n.end\n";
-  std::istringstream in(text);
-  const BlifModel model = read_blif(in);
-  EXPECT_EQ(model.num_inputs, 200);
 }
 
 /// Hand-written mutation corpus for the edits-file format: every entry must

@@ -128,46 +128,6 @@ TEST(HgrRoundTrip, WriteThenReadIdentical) {
   }
 }
 
-TEST(NetdReader, ParsesNamedFormat) {
-  std::istringstream in(
-      "# a comment\nnetlist mychip\nmodules 3\nnet 0 1\nnet 1 2\n");
-  const Hypergraph h = read_netd(in);
-  EXPECT_EQ(h.name(), "mychip");
-  EXPECT_EQ(h.num_modules(), 3);
-  EXPECT_EQ(h.num_nets(), 2);
-  EXPECT_TRUE(h.contains(1, 2));
-}
-
-TEST(NetdReader, RejectsNetBeforeModules) {
-  std::istringstream in("net 0 1\nmodules 3\n");
-  EXPECT_THROW(read_netd(in), ParseError);
-}
-
-TEST(NetdReader, RejectsUnknownKeyword) {
-  std::istringstream in("modules 2\nwire 0 1\n");
-  EXPECT_THROW(read_netd(in), ParseError);
-}
-
-TEST(NetdReader, RejectsMissingModules) {
-  std::istringstream in("# nothing\n");
-  EXPECT_THROW(read_netd(in), ParseError);
-}
-
-TEST(NetdRoundTrip, PreservesNameAndNets) {
-  HypergraphBuilder b(4);
-  b.set_name("roundtrip");
-  b.add_net({0, 3});
-  b.add_net({1, 2, 3});
-  const Hypergraph original = b.build();
-
-  std::stringstream buffer;
-  write_netd(buffer, original);
-  const Hypergraph parsed = read_netd(buffer);
-  EXPECT_EQ(parsed.name(), "roundtrip");
-  ASSERT_EQ(parsed.num_nets(), 2);
-  EXPECT_TRUE(parsed.contains(1, 2));
-}
-
 TEST(PartitionIo, RoundTrip) {
   Partition p(4);
   p.assign(1, Side::kRight);

@@ -37,7 +37,7 @@ TEST(KlPass, NeverWorsensCut) {
   const WeightedGraph g = clique_expansion(h);
   Partition p = random_balanced_partition(8, 3);
   const double before = weighted_edge_cut(g, p);
-  kl_pass(g, p, 24);
+  kl_pass(g, p);
   EXPECT_LE(weighted_edge_cut(g, p), before + 1e-12);
 }
 
@@ -46,7 +46,7 @@ TEST(KlPass, PreservesBalanceExactly) {
   const WeightedGraph g = clique_expansion(h);
   Partition p = random_balanced_partition(8, 5);
   const std::int32_t left_before = p.size(Side::kLeft);
-  kl_pass(g, p, 24);
+  kl_pass(g, p);
   EXPECT_EQ(p.size(Side::kLeft), left_before);
 }
 
@@ -55,7 +55,7 @@ TEST(KlPass, ReportedGainMatchesCutDelta) {
   const WeightedGraph g = clique_expansion(h);
   Partition p = random_balanced_partition(8, 9);
   const double before = weighted_edge_cut(g, p);
-  const double gain = kl_pass(g, p, 24);
+  const double gain = kl_pass(g, p);
   EXPECT_NEAR(before - weighted_edge_cut(g, p), gain, 1e-12);
 }
 

@@ -116,6 +116,34 @@ TEST(Multilevel, FixedSeedRunsAreBitIdentical) {
     ASSERT_EQ(a.coarsest_partition.side(m), b.coarsest_partition.side(m));
 }
 
+TEST(Multilevel, GeneratedCircuitAnswerIsPinned) {
+  // The default engine on a generated netlist large enough for community
+  // coarsening, boundary-only refinement and an improving extra V-cycle,
+  // pinned bit for bit (FNV-1a digest of the sides included).  The hot
+  // loops of clustering, contraction and FM are tuned for memory traffic;
+  // such tuning must leave every answer unchanged.
+  GeneratorConfig config;
+  config.name = "ml-pin";
+  config.num_modules = 20000;
+  config.num_nets = 22000;
+  const Hypergraph h = generate_circuit(config).hypergraph;
+  MultilevelOptions options;
+  options.vcycles = 2;
+  const MultilevelResult r = multilevel_partition(h, options);
+  std::uint64_t digest = 1469598103934665603ull;
+  for (ModuleId m = 0; m < h.num_modules(); ++m) {
+    digest ^= r.partition.side(m) == Side::kLeft ? 0u : 1u;
+    digest *= 1099511628211ull;
+  }
+  EXPECT_EQ(r.levels, 10);
+  EXPECT_EQ(r.coarsest_modules, 7);
+  EXPECT_EQ(r.vcycles_run, 1);
+  EXPECT_EQ(r.nets_cut, 781);
+  EXPECT_EQ(r.partition.size(Side::kLeft), 6821);
+  EXPECT_EQ(r.ratio, 8.6880142858097945e-06);
+  EXPECT_EQ(digest, 0xc80cbf9d7af06bbeull);
+}
+
 TEST(Multilevel, SeparatesDumbbell) {
   HypergraphBuilder b(12);
   for (std::int32_t i = 0; i < 6; ++i)

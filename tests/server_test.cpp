@@ -27,6 +27,7 @@
 #include "repart/session.hpp"
 #include "server/client.hpp"
 #include "server/protocol.hpp"
+#include "server/result_cache.hpp"
 #include "server/runtime/admission.hpp"
 #include "server/server.hpp"
 
@@ -345,6 +346,91 @@ TEST(ServerTest, CacheBypassRecomputesButAgreesWithCachedAnswer) {
   // Determinism makes bypassed recomputation bit-identical anyway.
   EXPECT_EQ(get_string(first, "assignment"), get_string(second, "assignment"));
   EXPECT_EQ(fixture.server().stats().cache_hits, 0);
+}
+
+// ServerOptions::repartition reaches every session: with a V-cycle
+// threshold of 1, bm1 is partitioned through the multilevel path exactly as
+// an in-process session with the same options partitions it.  A second
+// session over the same content is answered from the cache, and the hit
+// primes it to take the same warm V-cycle step as the session that
+// computed the answer.
+TEST(ServerTest, VcycleThresholdReachesSessionsCacheHitsAndWarmSteps) {
+  ServerOptions options = test_options(unique_socket());
+  options.repartition.vcycle_threshold = 1;
+  ServerFixture fixture(options);
+  Client client;
+  ASSERT_TRUE(client.connect(fixture.server().options().socket_path));
+
+  ASSERT_TRUE(is_ok(rpc(
+      client, R"({"id":1,"op":"load","session":"a","circuit":"bm1"})")));
+  const JsonValue cold =
+      rpc(client, R"({"id":2,"op":"partition","session":"a"})");
+  ASSERT_TRUE(is_ok(cold));
+  EXPECT_EQ(get_string(cold, "served_from"), "compute");
+
+  repart::RepartitionOptions twin_options;
+  twin_options.vcycle_threshold = 1;
+  repart::RepartitionSession twin(make_benchmark("bm1").hypergraph,
+                                  twin_options);
+  const repart::RepartitionResult twin_cold = twin.repartition();
+  ASSERT_TRUE(twin_cold.used_vcycle);
+  EXPECT_EQ(get_string(cold, "assignment"), assignment_of(twin_cold.partition));
+  EXPECT_EQ(get_number(cold, "cut"), static_cast<double>(twin_cold.nets_cut));
+  EXPECT_EQ(get_number(cold, "ratio"), twin_cold.ratio);
+  EXPECT_EQ(get_number(cold, "lanczos_iterations"), 0.0);
+
+  ASSERT_TRUE(is_ok(rpc(
+      client, R"({"id":3,"op":"load","session":"b","circuit":"bm1"})")));
+  const JsonValue hit =
+      rpc(client, R"({"id":4,"op":"partition","session":"b"})");
+  ASSERT_TRUE(is_ok(hit));
+  EXPECT_EQ(get_string(hit, "served_from"), "cache");
+  EXPECT_EQ(get_string(hit, "assignment"), get_string(cold, "assignment"));
+
+  for (const char* session : {"a", "b"})
+    ASSERT_TRUE(is_ok(rpc(client, std::string(R"({"id":5,"op":"edit",)") +
+                                      R"("session":")" + session +
+                                      R"(","script":)" +
+                                      json_quoted(kEcoScript) + "}")));
+  const JsonValue warm_a =
+      rpc(client, R"({"id":6,"op":"repartition","session":"a"})");
+  const JsonValue warm_b =
+      rpc(client, R"({"id":7,"op":"repartition","session":"b"})");
+  ASSERT_TRUE(is_ok(warm_a));
+  ASSERT_TRUE(is_ok(warm_b));
+  EXPECT_TRUE(get_bool(warm_a, "warm_started"));
+  EXPECT_TRUE(get_bool(warm_b, "warm_started"));
+  EXPECT_EQ(get_string(warm_b, "assignment"), get_string(warm_a, "assignment"));
+  EXPECT_EQ(get_number(warm_b, "cut"), get_number(warm_a, "cut"));
+  EXPECT_EQ(get_number(warm_b, "ratio"), get_number(warm_a, "ratio"));
+
+  repart::EditScriptApplier applier(twin.netlist());
+  std::istringstream script_in(kEcoScript);
+  for (const repart::EditBatch& batch :
+       repart::read_edit_script(script_in).batches)
+    applier.apply(batch);
+  const repart::RepartitionResult twin_warm = twin.repartition();
+  ASSERT_TRUE(twin_warm.used_vcycle && twin_warm.warm_started);
+  EXPECT_EQ(get_string(warm_a, "assignment"),
+            assignment_of(twin_warm.partition));
+  EXPECT_EQ(get_number(warm_a, "ratio"), twin_warm.ratio);
+}
+
+// Every V-cycle field a netpartd flag sets keys the result cache.
+TEST(ResultCache, ConfigHashSeparatesTheVcycleFlags) {
+  const repart::RepartitionOptions base;
+  repart::RepartitionOptions threshold = base;
+  threshold.vcycle_threshold = 1;
+  repart::RepartitionOptions coarsen_to = base;
+  coarsen_to.vcycle.coarsen_to = 16;
+  repart::RepartitionOptions vcycles = base;
+  vcycles.vcycle.vcycles = 2;
+  const std::vector<std::uint64_t> hashes = {
+      repartition_config_hash(base), repartition_config_hash(threshold),
+      repartition_config_hash(coarsen_to), repartition_config_hash(vcycles)};
+  for (std::size_t i = 0; i < hashes.size(); ++i)
+    for (std::size_t j = i + 1; j < hashes.size(); ++j)
+      EXPECT_NE(hashes[i], hashes[j]) << i << " vs " << j;
 }
 
 TEST(ServerTest, RepeatPartitionOnSameSessionIsIdempotent) {

@@ -107,7 +107,7 @@ void print_usage(std::ostream& os) {
         "                        --profile-out/--events-out may use '-')\n"
         "  --ml-coarsen-to <n>   multilevel/V-cycle: stop coarsening once\n"
         "                        the instance has at most n modules\n"
-        "                        (default 200)\n"
+        "                        (default 8)\n"
         "  --ml-vcycles <n>      multilevel/V-cycle: improvement-guarded\n"
         "                        extra V-cycles after the first\n"
         "                        uncoarsening (default 1)\n"
@@ -133,6 +133,18 @@ void print_usage(std::ostream& os) {
 int usage() {
   print_usage(std::cerr);
   return kExitUsage;
+}
+
+/// Parse the whole of `text` as a non-negative int: trailing text, a
+/// negative value and an int overflow all fail.
+bool parse_nonneg_int(const std::string& text, int& out) {
+  try {
+    std::size_t used = 0;
+    out = std::stoi(text, &used);
+    return used == text.size() && out >= 0;
+  } catch (const std::exception&) {
+    return false;
+  }
 }
 
 /// Flags extracted from the command line before positional dispatch.
@@ -281,16 +293,7 @@ int cmd_partition(const std::string& input, const std::string& algorithm,
     std::cerr << "error: partition is improper (one side empty)\n";
     return kExitInfeasible;
   }
-  if (!out.empty()) {
-    std::ofstream stream(out);
-    if (!stream) {
-      std::cerr << "cannot open " << out << '\n';
-      return 1;
-    }
-    io::write_partition(stream, r.partition);
-    std::cout << "  partition written to " << out << '\n';
-  }
-  return 0;
+  return write_partition_file(r.partition, out);
 }
 
 int cmd_multiway(const std::string& input, std::int32_t max_block,
@@ -466,13 +469,8 @@ int main(int argc, char** argv) {
         std::cerr << "error: --threads requires a count argument\n";
         return 2;
       }
-      int threads = -1;
-      try {
-        threads = std::stoi(raw[++i]);
-      } catch (const std::exception&) {
-        threads = -1;
-      }
-      if (threads < 0) {
+      int threads = 0;
+      if (!parse_nonneg_int(raw[++i], threads)) {
         std::cerr << "error: --threads requires a non-negative integer\n";
         return 2;
       }
@@ -485,13 +483,9 @@ int main(int argc, char** argv) {
         std::cerr << "error: " << arg << " requires an integer argument\n";
         return 2;
       }
-      int value = -1;
-      try {
-        value = std::stoi(raw[++i]);
-      } catch (const std::exception&) {
-        value = -1;
-      }
-      if (value < 0 || (arg == "--ml-coarsen-to" && value < 4)) {
+      int value = 0;
+      if (!parse_nonneg_int(raw[++i], value) ||
+          (arg == "--ml-coarsen-to" && value < 4)) {
         std::cerr << "error: " << arg << " requires a non-negative integer"
                   << (arg == "--ml-coarsen-to" ? " >= 4" : "") << "\n";
         return 2;

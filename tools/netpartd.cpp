@@ -38,11 +38,15 @@
 ///                          to stderr); 0 = never (default)
 ///   --latency-window <ms>  rolling window for `stats` latency percentiles
 ///                          (default 60000)
-///   --vcycle-threshold <n> sessions with >= n modules repartition through
-///                          the multilevel V-cycle path (default 100000,
-///                          0 = always flat)
+///   --vcycle-threshold <n> sessions with >= n modules partition and
+///                          repartition through the multilevel V-cycle
+///                          path (default 100000, 0 = always flat)
 ///   --ml-coarsen-to <n>    V-cycle path: stop coarsening at n modules
+///                          (default 8, at least 4)
 ///   --ml-vcycles <n>       V-cycle path: improvement-guarded extra cycles
+///                          (default 0; every V-cycle run does at least 1)
+///   The three V-cycle flags take values up to 2147483647 and apply to
+///   every session; they also key the result cache.
 ///   --help                 print this message and exit
 ///
 /// SIGTERM/SIGINT drain in-flight work before exiting.  Exit codes follow
@@ -50,6 +54,7 @@
 
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -109,7 +114,21 @@ int main(int argc, char** argv) {
       }
       return parse_nonneg(arg, args[++i], out);
     };
+    // The same for a flag stored as int32: larger values are usage errors,
+    // not wrapped.
+    auto value32 = [&](std::int32_t& out) {
+      std::int64_t wide = 0;
+      if (!value(wide)) return false;
+      if (wide > std::numeric_limits<std::int32_t>::max()) {
+        std::cerr << "error: " << arg << " requires an integer <= "
+                  << std::numeric_limits<std::int32_t>::max() << '\n';
+        return false;
+      }
+      out = static_cast<std::int32_t>(wide);
+      return true;
+    };
     std::int64_t n = 0;
+    std::int32_t n32 = 0;
     if (arg == "--help") {
       print_usage(std::cout);
       return 0;
@@ -150,9 +169,8 @@ int main(int argc, char** argv) {
       if (!value(n)) return 2;
       options.max_frame_bytes = static_cast<std::size_t>(n);
     } else if (arg == "--threads") {
-      if (!value(n)) return 2;
-      netpart::parallel::ThreadPool::instance().configure(
-          static_cast<std::int32_t>(n));
+      if (!value32(n32)) return 2;
+      netpart::parallel::ThreadPool::instance().configure(n32);
     } else if (arg == "--access-log") {
       if (i + 1 >= args.size()) {
         std::cerr << "error: --access-log requires a path\n";
@@ -166,18 +184,16 @@ int main(int argc, char** argv) {
       if (!value(n)) return 2;
       options.latency_window_ms = n > 0 ? n : 60000;
     } else if (arg == "--vcycle-threshold") {
-      if (!value(n)) return 2;
-      options.repartition.vcycle_threshold = static_cast<std::int32_t>(n);
+      if (!value32(options.repartition.vcycle_threshold)) return 2;
     } else if (arg == "--ml-coarsen-to") {
-      if (!value(n)) return 2;
-      if (n < 4) {
+      if (!value32(n32)) return 2;
+      if (n32 < 4) {
         std::cerr << "error: --ml-coarsen-to requires an integer >= 4\n";
         return 2;
       }
-      options.repartition.vcycle.coarsen_to = static_cast<std::int32_t>(n);
+      options.repartition.vcycle.coarsen_to = n32;
     } else if (arg == "--ml-vcycles") {
-      if (!value(n)) return 2;
-      options.repartition.vcycle.vcycles = static_cast<std::int32_t>(n);
+      if (!value32(options.repartition.vcycle.vcycles)) return 2;
     } else if (arg == "--flight-recorder") {
       if (!value(n)) return 2;
       options.flight_recorder_capacity = static_cast<std::size_t>(n);
