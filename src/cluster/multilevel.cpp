@@ -16,7 +16,7 @@ namespace {
 void validate_options(const MultilevelOptions& options) {
   if (options.coarsen_to < 4)
     throw std::invalid_argument("multilevel: coarsen_to too small");
-  if (options.refine_passes < 0 || options.vcycles < 0)
+  if (options.vcycles < 0)
     throw std::invalid_argument("multilevel: negative option");
 }
 
@@ -32,10 +32,8 @@ Partition restrict_down(const Clustering& map, const Partition& fine) {
 
 /// Weighted ratio-cut FM at one level; returns the ratio improvement.
 double refine_level(const Hypergraph& h,
-                    std::span<const std::int64_t> weights, Partition& p,
-                    const MultilevelOptions& options) {
-  const std::int32_t passes = options.refine_passes;
-  if (h.num_modules() < 2 || passes <= 0) return 0.0;
+                    std::span<const std::int64_t> weights, Partition& p) {
+  if (h.num_modules() < 2) return 0.0;
   FmEngine engine(h);
   engine.reset(p);
   engine.set_stall_limit(kMultilevelRefineStallLimit);
@@ -55,7 +53,7 @@ double refine_level(const Hypergraph& h,
   }
   if (!weights.empty()) engine.set_module_weights(weights);
   const double before = engine.ratio();
-  for (std::int32_t pass = 0; pass < passes; ++pass)
+  for (std::int32_t pass = 0; pass < kMultilevelRefinePasses; ++pass)
     if (!engine.pass_ratio_cut().improved) break;
   p = engine.partition();
   const double after = engine.ratio();
@@ -68,7 +66,7 @@ double refine_level(const Hypergraph& h,
 /// as a partition of `h`.  `stats` (optional, size levels+1, entry i =
 /// level i with 0 the input) accumulates per-level refine gains.
 void uncoarsen_refine(const Hypergraph& h, const MultilevelHierarchy& hier,
-                      const MultilevelOptions& options, Partition& current,
+                      Partition& current,
                       std::vector<MultilevelLevelStats>* stats) {
   const auto num_levels = static_cast<std::int32_t>(hier.levels.size());
   const auto record = [&](std::int32_t level, double gain) {
@@ -81,7 +79,7 @@ void uncoarsen_refine(const Hypergraph& h, const MultilevelHierarchy& hier,
                           ? std::span<const std::int64_t>{}
                           : std::span<const std::int64_t>(
                                 hier.levels.back().module_weights),
-                      current, options));
+                      current));
   for (std::int32_t i = num_levels; i-- > 0;) {
     current = hier.levels[static_cast<std::size_t>(i)].map.project(current);
     const Hypergraph& fine =
@@ -91,7 +89,7 @@ void uncoarsen_refine(const Hypergraph& h, const MultilevelHierarchy& hier,
                : std::span<const std::int64_t>(
                      hier.levels[static_cast<std::size_t>(i - 1)]
                          .module_weights);
-    record(i, refine_level(fine, weights, current, options));
+    record(i, refine_level(fine, weights, current));
   }
 }
 
@@ -107,7 +105,7 @@ Partition run_vcycles(const Hypergraph& h, Partition current,
     Partition candidate = current;
     for (const MultilevelLevel& level : hier.levels)
       candidate = restrict_down(level.map, candidate);
-    uncoarsen_refine(h, hier, options, candidate, nullptr);
+    uncoarsen_refine(h, hier, candidate, nullptr);
     // The weighted ratio cut is what every improvement guard compares (it
     // equals the classic ratio cut on unit-weight netlists).
     if (weighted_ratio_cut(h, candidate) < weighted_ratio_cut(h, current)) {
@@ -186,7 +184,7 @@ MultilevelHierarchy coarsen_hierarchy(const Hypergraph& h,
     matching.constraint = constraint != nullptr ? &cur_constraint : nullptr;
     matching.module_weights = weights;
     matching.max_cluster_weight = cap;
-    matching.rating_net_size_limit = options.rating_net_size_limit;
+    matching.rating_net_size_limit = kMultilevelRatingNetSizeLimit;
     // Constrained (V-cycle) coarsening skips community detection: the side
     // constraint already confines merges to partition-pure clusters, the
     // extra cycle is a refinement perturbation rather than a cold start,
@@ -194,7 +192,7 @@ MultilevelHierarchy coarsen_hierarchy(const Hypergraph& h,
     if (hier.levels.empty() && constraint == nullptr) {
       NETPART_SPAN("ml.community");
       communities = community_labels(*cur, kMultilevelCommunityRounds,
-                                     options.rating_net_size_limit);
+                                     kMultilevelRatingNetSizeLimit);
       communities_live = !communities.empty();
     }
     if (communities_live) matching.communities = communities;
@@ -293,7 +291,7 @@ MultilevelResult multilevel_partition(const Hypergraph& h,
 
   {
     NETPART_SPAN("ml.refine");
-    uncoarsen_refine(h, hier, options, current, &result.level_stats);
+    uncoarsen_refine(h, hier, current, &result.level_stats);
   }
 
   if (options.vcycles > 0 && current.is_proper()) {

@@ -27,9 +27,9 @@
 ///    fine-level ratio strictly improved.
 ///
 /// The coarsening and refinement schedule (level cap, weight cap,
-/// community rounds, shrink floor, boundary-only refinement, stall limit)
-/// is fixed by the kMultilevel* constants below; MultilevelOptions carries
-/// only what callers set.
+/// community rounds, shrink floor, boundary-only refinement, stall limit,
+/// refine passes, rating net-size limit) is fixed by the kMultilevel*
+/// constants below; MultilevelOptions carries only what callers set.
 ///
 /// Everything is serial or rides the deterministic parallel runtime, so
 /// results are bit-identical at any lane count and across runs.
@@ -63,6 +63,13 @@ inline constexpr std::int32_t kMultilevelBoundaryRefineAbove = 10000;
 /// so each tentative move is expensive; once a pass has gone this long
 /// without improving, the remaining sequence is rollback fodder.
 inline constexpr std::int32_t kMultilevelRefineStallLimit = 1000;
+/// Ratio-cut FM passes per uncoarsening level (stops early when a pass
+/// fails to improve).
+inline constexpr std::int32_t kMultilevelRefinePasses = 8;
+/// Nets larger than this are ignored by connectivity ratings and community
+/// propagation; a k-pin net contributes 1/(k-1) per neighbour, so huge nets
+/// are O(k^2) rating work for ~no signal.
+inline constexpr std::int32_t kMultilevelRatingNetSizeLimit = 64;
 
 /// Options for the multilevel engine.
 struct MultilevelOptions {
@@ -85,17 +92,10 @@ struct MultilevelOptions {
   std::int64_t direct_pair_budget = 50'000;
   /// Solver options for the coarsest level.
   IgMatchOptions igmatch;
-  /// Ratio-cut FM passes per uncoarsening level (stops early when a pass
-  /// fails to improve).
-  std::int32_t refine_passes = 8;
   /// Additional V-cycles: re-coarsen with side-constrained matching (the
   /// current partition projects exactly onto the coarse hypergraph),
   /// refine through the hierarchy, project back.  Improvement-guarded.
   std::int32_t vcycles = 0;
-  /// Nets larger than this are ignored by connectivity ratings and
-  /// community propagation (0 = none); a k-pin net contributes 1/(k-1)
-  /// per neighbour, so huge nets are O(k^2) rating work for ~no signal.
-  std::int32_t rating_net_size_limit = 64;
 };
 
 /// One coarsening level: the map from this level's fine modules to coarse

@@ -102,20 +102,6 @@ MultiwayResult multiway_partition(const Hypergraph& h,
       if (static_cast<std::int32_t>(blocks[index].size()) >
           options.max_block_size)
         wave.push_back(index);
-    std::vector<std::size_t> deferred;
-    if (options.max_blocks > 0) {
-      // Each applied split grows the block count by one; never launch work
-      // whose result could not be applied under the cap.  Blocks beyond the
-      // allowance are deferred: improper splits do not consume allowance,
-      // so the next wave may still have room for them.
-      const std::int64_t allowance =
-          options.max_blocks - static_cast<std::int64_t>(blocks.size());
-      if (allowance <= 0) break;
-      if (static_cast<std::int64_t>(wave.size()) > allowance) {
-        deferred.assign(wave.begin() + allowance, wave.end());
-        wave.resize(static_cast<std::size_t>(allowance));
-      }
-    }
     if (wave.empty()) break;
 
     std::vector<SplitOutcome> outcomes(wave.size());
@@ -137,7 +123,7 @@ MultiwayResult multiway_partition(const Hypergraph& h,
                 .push_back(members[i]);
         });
 
-    pending = std::move(deferred);
+    pending.clear();
     for (std::size_t w = 0; w < wave.size(); ++w) {
       SplitOutcome& out = outcomes[w];
       if (!out.proper) continue;  // cannot split further

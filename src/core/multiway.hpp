@@ -42,10 +42,9 @@ class MultiwayPartition {
 
 /// Options for the recursive decomposition.
 struct MultiwayOptions {
-  /// Stop splitting a block once it has at most this many modules.
+  /// Stop splitting a block once it has at most this many modules (there
+  /// is no cap on the number of blocks).
   std::int32_t max_block_size = 100;
-  /// Hard cap on the number of blocks produced (0 = unlimited).
-  std::int32_t max_blocks = 0;
   /// The bipartitioner applied at each split.  Its vcycle_threshold is
   /// honoured per block: giant blocks early in the recursion take the
   /// multilevel V-cycle cold path, and once splits drop below the

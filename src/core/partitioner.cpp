@@ -8,6 +8,7 @@
 #include "fm/annealing.hpp"
 #include "fm/kl.hpp"
 #include "hypergraph/cut_metrics.hpp"
+#include "obs/metrics.hpp"
 #include "spectral/eig1.hpp"
 
 namespace netpart {
@@ -48,35 +49,22 @@ PartitionResult run_partitioner(const Hypergraph& h,
   out.algorithm_name = to_string(config.algorithm);
 
   NETPART_SPAN("run-partitioner");
+  // Production cold path: kMultilevel, and kIgMatch at or above the
+  // threshold, where the flat spectral pipeline (full-graph Lanczos + the
+  // full m-1 sweep) is replaced by the multilevel V-cycle, which runs
+  // IG-Match only on the coarsest instance.
+  const bool via_multilevel =
+      config.algorithm == Algorithm::kMultilevel ||
+      (config.algorithm == Algorithm::kIgMatch &&
+       config.vcycle_threshold > 0 &&
+       h.num_modules() >= config.vcycle_threshold);
   const auto start = std::chrono::steady_clock::now();
-  switch (config.algorithm) {
+  switch (via_multilevel ? Algorithm::kMultilevel : config.algorithm) {
     case Algorithm::kIgMatch:
     case Algorithm::kIgMatchRecursive:
     case Algorithm::kIgMatchRefined: {
-      // Production cold path: above the threshold the flat spectral
-      // pipeline (full-graph Lanczos + the full m-1 sweep) is replaced by
-      // the multilevel V-cycle, which runs IG-Match only on the coarsest
-      // instance.
-      if (config.algorithm == Algorithm::kIgMatch &&
-          config.vcycle_threshold > 0 &&
-          h.num_modules() >= config.vcycle_threshold) {
-        MultilevelOptions options;
-        options.coarsen_to = config.multilevel_coarsen_to;
-        options.vcycles = config.multilevel_vcycles;
-        options.igmatch.weighting = config.weighting;
-        options.igmatch.lanczos = config.lanczos;
-        options.igmatch.threshold_net_size = config.threshold_net_size;
-        const MultilevelResult r = multilevel_partition(h, options);
-        out.partition = r.partition;
-        out.lambda2 = r.lambda2;
-        out.eigen_converged = r.eigen_converged;
-        out.via_multilevel = true;
-        break;
-      }
       IgMatchOptions options;
       options.weighting = config.weighting;
-      options.lanczos = config.lanczos;
-      options.threshold_net_size = config.threshold_net_size;
       options.recursive = config.algorithm == Algorithm::kIgMatchRecursive;
       const IgMatchResult r = igmatch_partition(h, options);
       out.partition = r.partition;
@@ -96,17 +84,14 @@ PartitionResult run_partitioner(const Hypergraph& h,
       break;
     }
     case Algorithm::kIgVote: {
-      IgVoteOptions options;
-      options.weighting = config.weighting;
-      options.lanczos = config.lanczos;
-      const IgVoteResult r = igvote_partition(h, options);
+      const IgVoteResult r = igvote_partition(h);
       out.partition = r.partition;
       out.lambda2 = r.lambda2;
       out.eigen_converged = r.eigen_converged;
       break;
     }
     case Algorithm::kEig1: {
-      const Eig1Result r = eig1_partition(h, config.lanczos);
+      const Eig1Result r = eig1_partition(h);
       out.partition = r.sweep.partition;
       out.lambda2 = r.lambda2;
       out.eigen_converged = r.eigen_converged;
@@ -135,8 +120,6 @@ PartitionResult run_partitioner(const Hypergraph& h,
       options.coarsen_to = config.multilevel_coarsen_to;
       options.vcycles = config.multilevel_vcycles;
       options.igmatch.weighting = config.weighting;
-      options.igmatch.lanczos = config.lanczos;
-      options.igmatch.threshold_net_size = config.threshold_net_size;
       const MultilevelResult r = multilevel_partition(h, options);
       out.partition = r.partition;
       out.lambda2 = r.lambda2;
@@ -167,7 +150,6 @@ PartitionResult run_partitioner(const Hypergraph& h,
     registry.set_gauge("partition.ratio", out.ratio);
     registry.set_gauge("partition.runtime_ms", out.runtime_ms);
     if (out.lambda2) registry.set_gauge("partition.lambda2", *out.lambda2);
-    out.metrics = registry.snapshot();
   }
   return out;
 }

@@ -11,8 +11,6 @@
 #include "hypergraph/partition.hpp"
 #include "igmatch/igmatch.hpp"
 #include "igvote/igvote.hpp"
-#include "linalg/lanczos.hpp"
-#include "obs/metrics.hpp"
 
 /// \file partitioner.hpp
 /// One-call facade over every partitioning algorithm in the library.  This
@@ -47,11 +45,12 @@ enum class Algorithm {
 /// algorithm are ignored).
 struct PartitionerConfig {
   Algorithm algorithm = Algorithm::kIgMatch;
+  /// Intersection-graph weighting for IG-Match (every kIgMatch* value) and
+  /// the multilevel engine's coarsest solve.  IG-Vote always orders on the
+  /// paper's weighting.  Every spectral algorithm runs Lanczos with the
+  /// default LanczosOptions.
   IgWeighting weighting = IgWeighting::kPaper;
-  linalg::LanczosOptions lanczos;
   FmOptions fm;
-  /// Section 5 thresholding speedup for the IG eigenvector (0 = off).
-  std::int32_t threshold_net_size = 0;
   /// kMultilevel: stop coarsening at this many modules (instances within
   /// the engine's direct-solve pair budget stop earlier).
   std::int32_t multilevel_coarsen_to = 8;
@@ -84,13 +83,11 @@ struct PartitionResult {
   /// The run went through the multilevel V-cycle engine (always for
   /// kMultilevel; for kIgMatch when the instance crossed vcycle_threshold).
   bool via_multilevel = false;
-  /// Observability snapshot of the run (spans, counters, gauges,
-  /// histograms).  Empty unless the metrics registry is enabled; captures
-  /// everything recorded since the caller's last registry reset.
-  obs::MetricsSnapshot metrics;
 };
 
-/// Run the configured algorithm on `h` and time it.
+/// Run the configured algorithm on `h` and time it.  When the metrics
+/// registry is enabled, the run's cut, ratio, runtime and lambda2 are also
+/// set as `partition.*` gauges.
 [[nodiscard]] PartitionResult run_partitioner(
     const Hypergraph& h, const PartitionerConfig& config = {});
 

@@ -1,7 +1,6 @@
 #include "fm/annealing.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
 #include "circuits/rng.hpp"
 #include "fm/fm_partition.hpp"
@@ -11,11 +10,6 @@ namespace netpart {
 
 AnnealingResult anneal_ratio_cut(const Hypergraph& h,
                                  const AnnealingOptions& options) {
-  if (options.cooling <= 0.0 || options.cooling >= 1.0)
-    throw std::invalid_argument("anneal_ratio_cut: cooling out of (0,1)");
-  if (options.moves_per_module <= 0.0)
-    throw std::invalid_argument("anneal_ratio_cut: moves_per_module <= 0");
-
   const std::int32_t n = h.num_modules();
   AnnealingResult result;
   result.partition = Partition(n, Side::kLeft);
@@ -30,7 +24,7 @@ AnnealingResult anneal_ratio_cut(const Hypergraph& h,
   if (temperature <= 0.0) temperature = 1e-6;
 
   const auto moves_per_sweep = static_cast<std::int64_t>(
-      options.moves_per_module * static_cast<double>(n));
+      kAnnealingMovesPerModule * static_cast<double>(n));
   std::int32_t frozen_sweeps = 0;
 
   for (std::int32_t sweep = 0; sweep < kAnnealingMaxSweeps; ++sweep) {
@@ -59,7 +53,7 @@ AnnealingResult anneal_ratio_cut(const Hypergraph& h,
       }
     }
     result.accepted_moves += accepted_this_sweep;
-    temperature *= options.cooling;
+    temperature *= kAnnealingCooling;
     frozen_sweeps = accepted_this_sweep == 0 ? frozen_sweeps + 1 : 0;
     if (frozen_sweeps >= kAnnealingFreezeAfter) break;
   }

@@ -24,14 +24,14 @@ inline constexpr std::int32_t kAnnealingMaxSweeps = 120;
 /// A run freezes after this many consecutive sweeps without an accepted
 /// move.
 inline constexpr std::int32_t kAnnealingFreezeAfter = 5;
+/// Geometric cooling rate per sweep.
+inline constexpr double kAnnealingCooling = 0.95;
+/// Module flips attempted per sweep = kAnnealingMovesPerModule * n.
+inline constexpr double kAnnealingMovesPerModule = 4.0;
 
-/// Annealing schedule and run options.
+/// Annealing run options.
 struct AnnealingOptions {
   std::uint64_t seed = 0x5EEDULL;
-  /// Geometric cooling rate per sweep.
-  double cooling = 0.95;
-  /// Module flips attempted per sweep = moves_per_module * n.
-  double moves_per_module = 4.0;
 };
 
 /// Result of an annealing run.

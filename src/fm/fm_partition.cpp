@@ -65,7 +65,7 @@ FmRunResult multi_start(const Hypergraph& h, const FmOptions& options,
   std::int32_t max_left = n;
   if (objective == Objective::kCut) {
     const auto deviation = std::max<std::int32_t>(
-        1, static_cast<std::int32_t>(options.balance_tolerance *
+        1, static_cast<std::int32_t>(kFmBalanceTolerance *
                                      static_cast<double>(n) / 2.0));
     min_left = std::max(1, n / 2 - deviation);
     max_left = std::min(n - 1, (n + 1) / 2 + deviation);

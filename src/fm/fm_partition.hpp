@@ -22,14 +22,14 @@ namespace netpart {
 
 /// FM passes per start; passes stop earlier when one fails to improve.
 inline constexpr std::int32_t kFmMaxPasses = 40;
+/// Bisection only: allowed deviation of |U| from n/2 as a fraction of n
+/// (the r-bipartition slack).
+inline constexpr double kFmBalanceTolerance = 0.10;
 
 /// Options shared by the FM drivers.
 struct FmOptions {
   std::int32_t num_starts = 10;   ///< random restarts ([32] uses 10)
   std::uint64_t seed = 0xC0FFEEULL;
-  /// Bisection only: allowed deviation of |U| from n/2 as a fraction of n
-  /// (the r-bipartition slack).
-  double balance_tolerance = 0.10;
   /// Worker threads for the independent random starts, executed on the
   /// shared pool (src/parallel).  0 = auto: use every pool lane (the pool
   /// defaults to hardware concurrency, overridable via NETPART_THREADS or

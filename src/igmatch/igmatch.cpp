@@ -267,8 +267,8 @@ IgMatchResult igmatch_partition(const Hypergraph& h,
   }
   // One IG feeds both the ordering and the sweep.
   const WeightedGraph ig = intersection_graph(h, options.weighting);
-  const NetOrdering ordering = spectral_net_ordering_of_ig(
-      h, ig, options.lanczos, options.threshold_net_size);
+  const NetOrdering ordering =
+      spectral_net_ordering_of_ig(h, ig, options.lanczos);
   IgMatchResult result = igmatch_sweep(h, ig, ordering.order, options);
   result.lambda2 = ordering.lambda2;
   result.lanczos_iterations = ordering.lanczos_iterations;

@@ -31,13 +31,13 @@
 
 namespace netpart {
 
-/// Options for an IG-Match run.
+/// Options for an IG-Match run.  The ordering is the exact Fiedler vector
+/// of the whole IG; the Section 5 thresholded ordering is
+/// `spectral_net_ordering(h, weighting, lanczos, t)` fed to
+/// `igmatch_with_ordering`.
 struct IgMatchOptions {
   IgWeighting weighting = IgWeighting::kPaper;
   linalg::LanczosOptions lanczos;
-  /// Section 5 speedup: exclude nets with more pins than this from the
-  /// eigenvector computation (see spectral_net_ordering).  0 disables.
-  std::int32_t threshold_net_size = 0;
   /// Record per-split instrumentation (matching bound, achieved cut).
   bool record_splits = false;
   /// Enable the recursive completion of Section 3's "future work": instead

@@ -14,7 +14,8 @@ namespace {
 
 /// One directional vote sweep (Figure 8).  All modules start on
 /// `start_side`; nets are processed in `order`; a module defects to the
-/// opposite side once `threshold` of its incident net-weight has moved.
+/// opposite side once kIgVoteThreshold of its incident net-weight has
+/// moved.
 /// Returns the best proper partition seen and its ratio.
 struct SweepOutcome {
   Partition partition;
@@ -24,8 +25,7 @@ struct SweepOutcome {
 };
 
 SweepOutcome vote_sweep(const Hypergraph& h,
-                        std::span<const std::int32_t> order, Side start_side,
-                        double threshold) {
+                        std::span<const std::int32_t> order, Side start_side) {
   const std::int32_t n = h.num_modules();
   const Side move_side = opposite(start_side);
 
@@ -45,7 +45,7 @@ SweepOutcome vote_sweep(const Hypergraph& h,
     for (const ModuleId m : h.pins(net)) {
       double& z = moved_weight[static_cast<std::size_t>(m)];
       z += w;
-      if (z >= threshold * total_weight[static_cast<std::size_t>(m)] &&
+      if (z >= kIgVoteThreshold * total_weight[static_cast<std::size_t>(m)] &&
           tracker.partition().side(m) == start_side)
         tracker.move(m, move_side);
     }
@@ -63,22 +63,17 @@ SweepOutcome vote_sweep(const Hypergraph& h,
 }  // namespace
 
 IgVoteResult igvote_with_ordering(const Hypergraph& h,
-                                  std::span<const std::int32_t> net_order,
-                                  const IgVoteOptions& options) {
+                                  std::span<const std::int32_t> net_order) {
   if (static_cast<std::int32_t>(net_order.size()) != h.num_nets())
     throw std::invalid_argument("igvote_with_ordering: order size mismatch");
-  if (options.threshold <= 0.0 || options.threshold > 1.0)
-    throw std::invalid_argument("igvote: threshold out of (0, 1]");
 
   IgVoteResult result;
   result.partition = Partition(h.num_modules(), Side::kLeft);
   if (h.num_modules() < 2 || h.num_nets() < 1) return result;
 
-  const SweepOutcome forward =
-      vote_sweep(h, net_order, Side::kLeft, options.threshold);
+  const SweepOutcome forward = vote_sweep(h, net_order, Side::kLeft);
   std::vector<std::int32_t> reversed(net_order.rbegin(), net_order.rend());
-  const SweepOutcome backward =
-      vote_sweep(h, reversed, Side::kRight, options.threshold);
+  const SweepOutcome backward = vote_sweep(h, reversed, Side::kRight);
 
   const SweepOutcome* winner = nullptr;
   if (forward.found && (!backward.found || forward.ratio <= backward.ratio)) {
@@ -95,16 +90,14 @@ IgVoteResult igvote_with_ordering(const Hypergraph& h,
   return result;
 }
 
-IgVoteResult igvote_partition(const Hypergraph& h,
-                              const IgVoteOptions& options) {
+IgVoteResult igvote_partition(const Hypergraph& h) {
   if (h.num_nets() < 2 || h.num_modules() < 2) {
     IgVoteResult trivial;
     trivial.partition = Partition(h.num_modules(), Side::kLeft);
     return trivial;
   }
-  const NetOrdering ordering =
-      spectral_net_ordering(h, options.weighting, options.lanczos);
-  IgVoteResult result = igvote_with_ordering(h, ordering.order, options);
+  const NetOrdering ordering = spectral_net_ordering(h);
+  IgVoteResult result = igvote_with_ordering(h, ordering.order);
   result.lambda2 = ordering.lambda2;
   result.eigen_converged = ordering.eigen_converged;
   return result;

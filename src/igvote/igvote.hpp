@@ -3,10 +3,8 @@
 #include <cstdint>
 #include <span>
 
-#include "graph/intersection_graph.hpp"
 #include "hypergraph/hypergraph.hpp"
 #include "hypergraph/partition.hpp"
-#include "linalg/lanczos.hpp"
 
 /// \file igvote.hpp
 /// The IG-Vote (EIG1-IG) heuristic of Hagen-Kahng [14], implemented from
@@ -21,13 +19,9 @@
 
 namespace netpart {
 
-/// Options for an IG-Vote run.
-struct IgVoteOptions {
-  IgWeighting weighting = IgWeighting::kPaper;
-  linalg::LanczosOptions lanczos;
-  /// Module moves when moved weight >= threshold * total weight (paper: 1/2).
-  double threshold = 0.5;
-};
+/// A module moves once its moved net-weight reaches this fraction of its
+/// total net-weight (the paper's 1/2).
+inline constexpr double kIgVoteThreshold = 0.5;
 
 /// Result of an IG-Vote run.
 struct IgVoteResult {
@@ -39,13 +33,12 @@ struct IgVoteResult {
   bool eigen_converged = false;
 };
 
-/// Run IG-Vote end to end (spectral net ordering + both vote sweeps).
-[[nodiscard]] IgVoteResult igvote_partition(const Hypergraph& h,
-                                            const IgVoteOptions& options = {});
+/// Run IG-Vote end to end: the spectral net ordering of the paper-weighted
+/// intersection graph, then both vote sweeps.
+[[nodiscard]] IgVoteResult igvote_partition(const Hypergraph& h);
 
 /// Run the vote sweeps from an explicit net ordering (for tests).
 [[nodiscard]] IgVoteResult igvote_with_ordering(
-    const Hypergraph& h, std::span<const std::int32_t> net_order,
-    const IgVoteOptions& options = {});
+    const Hypergraph& h, std::span<const std::int32_t> net_order);
 
 }  // namespace netpart

@@ -304,10 +304,9 @@ void MetricsRegistry::record_rolling_locked(const std::string& name,
   it->second.record(value, static_cast<std::int64_t>(now_ms()));
 }
 
-void MetricsRegistry::configure_rolling(std::int64_t window_ms,
-                                        std::size_t epochs) {
+void MetricsRegistry::configure_rolling(std::int64_t window_ms) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  rolling_->config = RollingConfig{window_ms, epochs};
+  rolling_->config = RollingConfig{window_ms};
   rolling_->histograms.clear();  // old epochs no longer line up
 }
 

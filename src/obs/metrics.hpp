@@ -161,9 +161,10 @@ class MetricsRegistry {
   /// histogram is created on first use with the configured window.
   void record_rolling(std::string_view name, double value);
 
-  /// Window geometry for rolling histograms created *after* this call;
-  /// existing ones are dropped (their epochs no longer line up).
-  void configure_rolling(std::int64_t window_ms, std::size_t epochs);
+  /// Window span for rolling histograms created *after* this call (each
+  /// keeps kRollingEpochs epochs of window_ms / kRollingEpochs); existing
+  /// ones are dropped (their epochs no longer line up).
+  void configure_rolling(std::int64_t window_ms);
 
   /// When on, every closed span also feeds a rolling histogram named
   /// `phase.<span-name>` with its duration in ms, giving windowed latency

@@ -1,9 +1,6 @@
 #include "obs/prom_export.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <set>
 #include <vector>
 
@@ -11,8 +8,9 @@ namespace netpart::obs {
 
 namespace {
 
-/// Prometheus sample value: shortest round-trippable decimal; non-finite
-/// values use the exposition tokens (+Inf/-Inf/NaN), unlike JSON.
+/// Prometheus sample value: the JSON exporter's shortest round-trippable
+/// decimal, except that non-finite values use the exposition tokens
+/// (+Inf/-Inf/NaN) where JSON writes null.
 void append_prom_number(std::string& out, double value) {
   if (std::isnan(value)) {
     out += "NaN";
@@ -22,17 +20,7 @@ void append_prom_number(std::string& out, double value) {
     out += value > 0 ? "+Inf" : "-Inf";
     return;
   }
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  for (int precision = 1; precision < 17; ++precision) {
-    char shorter[32];
-    std::snprintf(shorter, sizeof shorter, "%.*g", precision, value);
-    if (std::strtod(shorter, nullptr) == value) {
-      out += shorter;
-      return;
-    }
-  }
-  out += buffer;
+  json_append_number(out, value);
 }
 
 /// Emits one metric family, refusing duplicates: exposition format forbids

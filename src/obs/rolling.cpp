@@ -5,11 +5,10 @@
 namespace netpart::obs {
 
 RollingHistogram::RollingHistogram(RollingConfig config) : config_(config) {
-  if (config_.epochs == 0) config_.epochs = 1;
-  if (config_.window_ms < static_cast<std::int64_t>(config_.epochs))
-    config_.window_ms = static_cast<std::int64_t>(config_.epochs);
-  epoch_ms_ = config_.window_ms / static_cast<std::int64_t>(config_.epochs);
-  ring_.resize(config_.epochs);
+  constexpr auto epochs = static_cast<std::int64_t>(kRollingEpochs);
+  if (config_.window_ms < epochs) config_.window_ms = epochs;
+  epoch_ms_ = config_.window_ms / epochs;
+  ring_.resize(kRollingEpochs);
 }
 
 void RollingHistogram::record(double value, std::int64_t now_ms) {

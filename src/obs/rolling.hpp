@@ -21,9 +21,11 @@
 
 namespace netpart::obs {
 
+/// Ring size: each epoch covers window_ms / kRollingEpochs.
+inline constexpr std::size_t kRollingEpochs = 6;
+
 struct RollingConfig {
   std::int64_t window_ms = 60000;  ///< total span the merged view covers
-  std::size_t epochs = 6;          ///< ring size; rotation = window/epochs
 };
 
 class RollingHistogram {

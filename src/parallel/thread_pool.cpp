@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -27,7 +28,7 @@ std::int32_t ThreadPool::default_lanes() {
       env != nullptr && *env != '\0') {
     char* tail = nullptr;
     const long parsed = std::strtol(env, &tail, 10);
-    if (tail != nullptr && *tail == '\0' && parsed > 0 && parsed <= 4096)
+    if (tail != nullptr && *tail == '\0' && parsed > 0 && parsed <= kMaxLanes)
       return static_cast<std::int32_t>(parsed);
   }
   const unsigned hw = std::thread::hardware_concurrency();
@@ -43,6 +44,10 @@ ThreadPool::ThreadPool() { spawn_workers(default_lanes() - 1); }
 ThreadPool::~ThreadPool() { stop_workers(); }
 
 void ThreadPool::configure(std::int32_t lanes) {
+  if (lanes > kMaxLanes)
+    throw std::invalid_argument("thread pool: " + std::to_string(lanes) +
+                                " lanes exceed the maximum of " +
+                                std::to_string(kMaxLanes));
   if (lanes == 0) lanes = default_lanes();
   if (lanes < 1) lanes = 1;
   if (lanes == lanes_) return;

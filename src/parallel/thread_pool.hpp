@@ -39,20 +39,27 @@ namespace netpart::parallel {
 /// re-recording any goldens that depend on them).
 inline constexpr std::int64_t kReductionChunk = 4096;
 
+/// Upper bound on a lane count: `configure`, netpartd's executor pool and
+/// every lane flag refuse more, and `default_lanes` ignores a larger
+/// NETPART_THREADS.  Each lane is an OS thread.
+inline constexpr std::int32_t kMaxLanes = 4096;
+
 class ThreadPool {
  public:
   /// The process-wide pool.  First use spawns `default_lanes() - 1` workers.
   static ThreadPool& instance();
 
   /// Lane count used when the pool is not explicitly configured: the
-  /// NETPART_THREADS environment variable when set to a positive integer,
-  /// otherwise std::thread::hardware_concurrency() (at least 1).
+  /// NETPART_THREADS environment variable when set to an integer in
+  /// [1, kMaxLanes], otherwise std::thread::hardware_concurrency() (at
+  /// least 1).
   [[nodiscard]] static std::int32_t default_lanes();
 
   /// Resize the pool to `lanes` total lanes (0 = default_lanes()).  Joins
   /// and respawns workers; must not race an in-flight parallel region —
   /// call it from the orchestrating thread between regions (CLI startup,
-  /// test SetUp).
+  /// test SetUp).  Throws std::invalid_argument, leaving the pool as it
+  /// was, when `lanes` exceeds kMaxLanes.
   void configure(std::int32_t lanes);
 
   /// Total lanes, including the calling thread.  Always >= 1.

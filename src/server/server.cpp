@@ -185,14 +185,14 @@ Server::Server(ServerOptions options)
       cache_(options_.cache_capacity),
       config_hash_(repartition_config_hash(options_.repartition)),
       admission_(derive_limits(options_)),
-      all_latency_(obs::RollingConfig{options_.latency_window_ms, 6}) {
+      all_latency_(obs::RollingConfig{options_.latency_window_ms}) {
   class_latency_.reserve(runtime::kNumClasses);
   class_queue_wait_.reserve(runtime::kNumClasses);
   for (std::size_t i = 0; i < runtime::kNumClasses; ++i) {
     class_latency_.emplace_back(
-        obs::RollingConfig{options_.latency_window_ms, 6});
+        obs::RollingConfig{options_.latency_window_ms});
     class_queue_wait_.emplace_back(
-        obs::RollingConfig{options_.latency_window_ms, 6});
+        obs::RollingConfig{options_.latency_window_ms});
   }
   class_latency_exemplar_.resize(runtime::kNumClasses);
   class_queue_exemplar_.resize(runtime::kNumClasses);
@@ -210,6 +210,13 @@ Server::~Server() {
 bool Server::start(std::string& error) {
   if (started_) {
     error = "server already started";
+    return false;
+  }
+  if (options_.executor_lanes >
+      static_cast<std::size_t>(parallel::kMaxLanes)) {
+    error = std::to_string(options_.executor_lanes) +
+            " executor lanes exceed the maximum of " +
+            std::to_string(parallel::kMaxLanes);
     return false;
   }
   sockaddr_un addr{};
@@ -289,9 +296,9 @@ bool Server::start(std::string& error) {
   lane_execute_.clear();
   for (std::size_t i = 0; i < lanes; ++i) {
     lane_queue_wait_.emplace_back(
-        obs::RollingConfig{options_.latency_window_ms, 6});
+        obs::RollingConfig{options_.latency_window_ms});
     lane_execute_.emplace_back(
-        obs::RollingConfig{options_.latency_window_ms, 6});
+        obs::RollingConfig{options_.latency_window_ms});
   }
   obs::FlightRecorder::instance().configure(options_.flight_recorder_capacity);
   obs::FlightRecorder::instance().note("server.start",
@@ -308,7 +315,7 @@ bool Server::start(std::string& error) {
       reg.set_enabled(true);
       reg.set_run_label("netpartd");
       // Long-running process: windowed percentiles per pipeline phase.
-      reg.configure_rolling(window_ms, 6);
+      reg.configure_rolling(window_ms);
       reg.set_rolling_spans(true);
     }
   });
@@ -723,7 +730,7 @@ void Server::handle_item(QueueItem& item) {
     const std::lock_guard<std::mutex> lock(telemetry_mutex_);
     op_latency_
         .try_emplace(item.req.op_name,
-                     obs::RollingConfig{options_.latency_window_ms, 6})
+                     obs::RollingConfig{options_.latency_window_ms})
         .first->second.record(exec_ms, item.end_ms);
     all_latency_.record(exec_ms, item.end_ms);
     class_latency_[static_cast<std::size_t>(item.cls)].record(exec_ms,

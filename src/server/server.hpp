@@ -59,7 +59,8 @@ struct ServerOptions {
   /// Executor lanes.  1 = the classic single-executor server; N > 1 pins
   /// sessions to lanes by name hash and marks each lane inline on the
   /// shared parallel runtime (responses stay bit-identical; see
-  /// runtime/executor_pool.hpp).
+  /// runtime/executor_pool.hpp).  start() refuses more than
+  /// parallel::kMaxLanes.
   std::size_t executor_lanes = 1;
   /// Pending bound for the hit class; the warm and cold bounds derive from
   /// it unless set below.

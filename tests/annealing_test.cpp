@@ -84,16 +84,6 @@ TEST(Annealing, DifferentSeedsMayDiffer) {
   EXPECT_TRUE(b.partition.is_proper());
 }
 
-TEST(Annealing, RejectsBadOptions) {
-  const Hypergraph h = dumbbell();
-  AnnealingOptions options;
-  options.cooling = 1.0;
-  EXPECT_THROW(anneal_ratio_cut(h, options), std::invalid_argument);
-  options = {};
-  options.moves_per_module = 0.0;
-  EXPECT_THROW(anneal_ratio_cut(h, options), std::invalid_argument);
-}
-
 TEST(Annealing, TrivialInstanceSafe) {
   HypergraphBuilder b(1);
   b.add_net({0});

@@ -198,7 +198,6 @@ TEST(CoarsenProperty, RandomHypergraphsAllWeightings) {
           random_hypergraph(seed * 977 + static_cast<std::uint64_t>(weighting),
                             modules, modules * 2, weighting);
       MatchingOptions options;
-      options.rating_net_size_limit = 64;
       check_contraction(h, options, {}, seed * 31 + 7);
     }
   }
@@ -213,7 +212,6 @@ TEST(CoarsenProperty, WeightCapAndModuleWeightsRespected) {
     MatchingOptions options;
     options.module_weights = weights;
     options.max_cluster_weight = 24;
-    options.rating_net_size_limit = 64;
     check_contraction(h, options, weights, 555);
   }
 }
@@ -227,7 +225,6 @@ TEST(CoarsenProperty, ConstrainedClusteringStaysSidePure) {
       p.assign(m, rng.below(2) == 0 ? Side::kLeft : Side::kRight);
     MatchingOptions options;
     options.constraint = &p;
-    options.rating_net_size_limit = 64;
     check_contraction(h, options, {}, seed);
   }
 }
@@ -238,7 +235,6 @@ TEST(CoarsenProperty, CommunityRestrictionNeverCrossesLabels) {
       community_labels(h, /*rounds=*/2, /*net_size_limit=*/64);
   MatchingOptions options;
   options.communities = labels;
-  options.rating_net_size_limit = 64;
   const Clustering c = heavy_edge_clustering(h, options);
   for (ModuleId m = 0; m < h.num_modules(); ++m)
     for (ModuleId o = m + 1; o < h.num_modules(); ++o)
@@ -258,7 +254,6 @@ TEST(CoarsenProperty, GeneratedCircuitsSurviveRepeatedContraction) {
   config.num_nets = 440;
   const Hypergraph h = generate_circuit(config).hypergraph;
   MatchingOptions options;
-  options.rating_net_size_limit = 64;
   options.max_cluster_weight = 8;
   const Clustering c1 = heavy_edge_clustering(h, options);
   const Contraction l1 = contract_with_info(h, c1);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <sstream>
+#include <vector>
 
 namespace netpart::io {
 namespace {
@@ -28,26 +30,15 @@ TEST(DotNetlist, EmitsModulesNetsAndPins) {
             std::string::npos);
 }
 
-TEST(DotNetlist, PartitionColorsModules) {
-  Partition p(3);
-  p.assign(2, Side::kRight);
-  DotOptions options;
-  options.partition = &p;
-  std::ostringstream os;
-  write_dot_netlist(os, small(), options);
-  const std::string dot = os.str();
-  EXPECT_NE(dot.find("fillcolor=lightblue"), std::string::npos);
-  EXPECT_NE(dot.find("fillcolor=lightsalmon"), std::string::npos);
-}
-
 TEST(DotNetlist, MaxNetSizeFiltersLargeNets) {
-  HypergraphBuilder b(5);
-  b.add_net({0, 1});
-  b.add_net({0, 1, 2, 3, 4});
-  DotOptions options;
-  options.max_net_size = 3;
+  // One net at the kDotMaxNetSize bound, one just above it.
+  HypergraphBuilder b(kDotMaxNetSize + 1);
+  std::vector<ModuleId> pins(static_cast<std::size_t>(kDotMaxNetSize) + 1);
+  std::iota(pins.begin(), pins.end(), 0);
+  b.add_net(std::vector<ModuleId>(pins.begin(), pins.end() - 1));
+  b.add_net(pins);
   std::ostringstream os;
-  write_dot_netlist(os, b.build(), options);
+  write_dot_netlist(os, b.build());
   const std::string dot = os.str();
   EXPECT_NE(dot.find("n0 "), std::string::npos);
   EXPECT_EQ(dot.find("n1 "), std::string::npos);

@@ -56,11 +56,10 @@ TEST(MinCutBisection, RespectsBalanceWindow) {
   const Hypergraph h = small_circuit("fm-driver-bisect");
   FmOptions options;
   options.num_starts = 3;
-  options.balance_tolerance = 0.10;
   const FmRunResult r = fm_min_cut_bisection(h, options);
   const std::int32_t n = h.num_modules();
   const std::int32_t deviation = std::max(
-      1, static_cast<std::int32_t>(options.balance_tolerance * n / 2.0));
+      1, static_cast<std::int32_t>(kFmBalanceTolerance * n / 2.0));
   EXPECT_GE(r.partition.size(Side::kLeft), n / 2 - deviation);
   EXPECT_LE(r.partition.size(Side::kLeft), (n + 1) / 2 + deviation);
   EXPECT_EQ(r.nets_cut, net_cut(h, r.partition));

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
-
 #include "circuits/generator.hpp"
 #include "hypergraph/cut_metrics.hpp"
 
@@ -56,35 +54,6 @@ TEST(IgVote, VoteMechanicsOnTinyExample) {
   const IgVoteResult r = igvote_with_ordering(h, order);
   EXPECT_EQ(r.nets_cut, 1);
   EXPECT_DOUBLE_EQ(r.ratio, 1.0);
-}
-
-TEST(IgVote, ThresholdOneDelaysMoves) {
-  // With threshold 1.0 a module defects only when ALL of its net weight
-  // has moved; the sweep still finds some proper partition.
-  GeneratorConfig c;
-  c.name = "igvote-threshold";
-  c.num_modules = 80;
-  c.num_nets = 100;
-  c.leaf_max = 10;
-  const Hypergraph h = generate_circuit(c).hypergraph;
-  IgVoteOptions options;
-  options.threshold = 1.0;
-  const IgVoteResult r = igvote_partition(h, options);
-  EXPECT_TRUE(r.partition.is_proper());
-  EXPECT_EQ(r.nets_cut, net_cut(h, r.partition));
-}
-
-TEST(IgVote, RejectsBadThreshold) {
-  const Hypergraph h = dumbbell();
-  std::vector<std::int32_t> order(static_cast<std::size_t>(h.num_nets()));
-  std::iota(order.begin(), order.end(), 0);
-  IgVoteOptions options;
-  options.threshold = 0.0;
-  EXPECT_THROW(igvote_with_ordering(h, order, options),
-               std::invalid_argument);
-  options.threshold = 1.5;
-  EXPECT_THROW(igvote_with_ordering(h, order, options),
-               std::invalid_argument);
 }
 
 TEST(IgVote, RejectsWrongOrderSize) {

@@ -165,15 +165,15 @@ TEST(Multilevel, RefinementNeverHurtsVersusCoarseProjection) {
   // The multilevel result must be at least as good as solving the coarsest
   // level and projecting straight up without refinement.
   const Hypergraph h = clustered_circuit("ml-refine", 500);
-  MultilevelOptions no_refine;
-  no_refine.refine_passes = 0;
-  no_refine.direct_pair_budget = 0;
-  MultilevelOptions with_refine;
-  with_refine.refine_passes = 8;
-  with_refine.direct_pair_budget = 0;
-  const MultilevelResult a = multilevel_partition(h, no_refine);
-  const MultilevelResult b = multilevel_partition(h, with_refine);
-  EXPECT_LE(b.ratio, a.ratio + 1e-12);
+  MultilevelOptions options;
+  options.direct_pair_budget = 0;
+  const MultilevelResult r = multilevel_partition(h, options);
+  const MultilevelHierarchy hier = coarsen_hierarchy(h, options);
+  ASSERT_EQ(static_cast<std::int32_t>(hier.levels.size()), r.levels);
+  Partition projected = r.coarsest_partition;
+  for (std::size_t i = hier.levels.size(); i-- > 0;)
+    projected = hier.levels[i].map.project(projected);
+  EXPECT_LE(r.ratio, ratio_cut(h, projected) + 1e-12);
 }
 
 TEST(Multilevel, VcyclesNeverHurt) {

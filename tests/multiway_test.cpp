@@ -65,15 +65,6 @@ TEST(Multiway, EveryModuleAssigned) {
   EXPECT_EQ(total, h.num_modules());
 }
 
-TEST(Multiway, MaxBlocksCapHonoured) {
-  const Hypergraph h = circuit(300, "mw-cap");
-  MultiwayOptions options;
-  options.max_block_size = 10;  // would need ~30 blocks...
-  options.max_blocks = 4;       // ...but we cap at 4
-  const MultiwayResult r = multiway_partition(h, options);
-  EXPECT_LE(r.partition.num_blocks(), 4);
-}
-
 TEST(Multiway, LargeBudgetMeansNoSplit) {
   const Hypergraph h = circuit(100, "mw-nosplit");
   MultiwayOptions options;

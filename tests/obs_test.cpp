@@ -522,31 +522,32 @@ TEST(HistogramQuantile, ClampsOutOfRangeArguments) {
 // ---------------------------------------------------------------------------
 
 TEST(RollingHistogram, WindowDropsOldEpochs) {
-  // 1000 ms window in 4 epochs of 250 ms, driven by an explicit clock.
-  RollingHistogram rh(RollingConfig{1000, 4});
+  // 1200 ms window in kRollingEpochs (6) epochs of 200 ms, driven by an
+  // explicit clock.
+  RollingHistogram rh(RollingConfig{1200});
   rh.record(1.0, 0);
   rh.record(2.0, 300);
   EXPECT_EQ(rh.merged(300).count, 2);
-  // At t=1100 the epoch holding t=0 has aged out; t=300 is still inside.
-  EXPECT_EQ(rh.merged(1100).count, 1);
-  EXPECT_DOUBLE_EQ(rh.merged(1100).sum, 2.0);
+  // At t=1300 the epoch holding t=0 has aged out; t=300 is still inside.
+  EXPECT_EQ(rh.merged(1300).count, 1);
+  EXPECT_DOUBLE_EQ(rh.merged(1300).sum, 2.0);
   // Far future: everything aged out.
   EXPECT_EQ(rh.merged(5000).count, 0);
 }
 
 TEST(RollingHistogram, RecordRecyclesStaleSlots) {
-  RollingHistogram rh(RollingConfig{1000, 4});
+  RollingHistogram rh(RollingConfig{1200});
   rh.record(1.0, 0);
-  // t=1001 maps to epoch 4 — the same ring slot as epoch 0; the stale
+  // t=1201 maps to epoch 6 — the same ring slot as epoch 0; the stale
   // contents must be discarded, not merged.
-  rh.record(7.0, 1001);
-  const HistogramEntry m = rh.merged(1001);
+  rh.record(7.0, 1201);
+  const HistogramEntry m = rh.merged(1201);
   EXPECT_EQ(m.count, 1);
   EXPECT_DOUBLE_EQ(m.sum, 7.0);
 }
 
 TEST(RollingHistogram, MergedTracksMinMaxAcrossEpochs) {
-  RollingHistogram rh(RollingConfig{1000, 4});
+  RollingHistogram rh(RollingConfig{1200});
   rh.record(10.0, 0);
   rh.record(3.0, 300);
   rh.record(90.0, 600);
@@ -558,7 +559,7 @@ TEST(RollingHistogram, MergedTracksMinMaxAcrossEpochs) {
 
 TEST_F(RegistryFixture, RecordRollingAppearsInSnapshot) {
   MetricsRegistry& r = MetricsRegistry::instance();
-  r.configure_rolling(60000, 6);
+  r.configure_rolling(60000);
   r.record_rolling("req.latency", 12.0);
   r.record_rolling("req.latency", 48.0);
   const MetricsSnapshot snap = r.snapshot();

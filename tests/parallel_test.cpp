@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "linalg/csr_matrix.hpp"
@@ -37,6 +38,14 @@ TEST_F(ParallelTest, ConfigureRoundTrips) {
   EXPECT_EQ(pool.lanes(), 1);
   pool.configure(0);  // auto
   EXPECT_EQ(pool.lanes(), ThreadPool::default_lanes());
+}
+
+TEST(ThreadPool, ConfigureRefusesMoreThanMaxLanes) {
+  // Refused before any worker is stopped or started.
+  ThreadPool& pool = ThreadPool::instance();
+  const std::int32_t before = pool.lanes();
+  EXPECT_THROW(pool.configure(kMaxLanes + 1), std::invalid_argument);
+  EXPECT_EQ(pool.lanes(), before);
 }
 
 TEST_F(ParallelTest, RunChunksCoversEveryIndexExactlyOnce) {

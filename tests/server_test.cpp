@@ -23,6 +23,7 @@
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace_context.hpp"
+#include "parallel/thread_pool.hpp"
 #include "repart/edit_script.hpp"
 #include "repart/session.hpp"
 #include "server/client.hpp"
@@ -548,6 +549,17 @@ TEST(ServerTest, SigtermDrainsInFlightWorkBeforeExit) {
   EXPECT_EQ(get_number(second, "id"), 2.0);
 
   io.join();  // run() must return on its own after the drain
+}
+
+TEST(ServerTest, StartRefusesMoreThanMaxLanes) {
+  // Refused before any socket is bound or lane thread started.
+  ServerOptions options = test_options(unique_socket());
+  options.executor_lanes = static_cast<std::size_t>(parallel::kMaxLanes) + 1;
+  Server server(options);
+  std::string error;
+  EXPECT_FALSE(server.start(error));
+  EXPECT_NE(error.find(std::to_string(parallel::kMaxLanes)), std::string::npos)
+      << error;
 }
 
 TEST(ServerTest, ShutdownOpDrainsAndStopsTheServer) {

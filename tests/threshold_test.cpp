@@ -24,6 +24,14 @@ Hypergraph circuit_with_rails() {
   return generate_circuit(c).hypergraph;
 }
 
+/// IG-Match swept over the thresholded ordering (the composition
+/// bench/ablation_threshold measures).
+IgMatchResult igmatch_thresholded(const Hypergraph& h, std::int32_t t) {
+  const NetOrdering ordering = spectral_net_ordering(
+      h, IgWeighting::kPaper, linalg::LanczosOptions{}, t);
+  return igmatch_with_ordering(h, ordering.order);
+}
+
 TEST(Threshold, DisabledMatchesPlainOrdering) {
   const Hypergraph h = circuit_with_rails();
   const NetOrdering plain = spectral_net_ordering(h);
@@ -102,9 +110,7 @@ TEST(Threshold, LargeNetsPlacedNearTheirNeighbours) {
 
 TEST(Threshold, IgMatchStillProducesValidPartition) {
   const Hypergraph h = circuit_with_rails();
-  IgMatchOptions options;
-  options.threshold_net_size = 10;
-  const IgMatchResult r = igmatch_partition(h, options);
+  const IgMatchResult r = igmatch_thresholded(h, 10);
   EXPECT_TRUE(r.partition.is_proper());
   EXPECT_EQ(r.nets_cut, net_cut(h, r.partition));
 }
@@ -115,11 +121,8 @@ TEST(Threshold, QualityStaysReasonableOnBenchmarks) {
   // thresholding as a speedup with modest quality impact; footnote 2
   // warns the information loss is real).
   const GeneratedCircuit g = make_benchmark("Prim1");
-  IgMatchOptions exact;
-  const IgMatchResult full = igmatch_partition(g.hypergraph, exact);
-  IgMatchOptions thresholded;
-  thresholded.threshold_net_size = 15;
-  const IgMatchResult fast = igmatch_partition(g.hypergraph, thresholded);
+  const IgMatchResult full = igmatch_partition(g.hypergraph);
+  const IgMatchResult fast = igmatch_thresholded(g.hypergraph, 15);
   EXPECT_TRUE(fast.partition.is_proper());
   EXPECT_LT(fast.ratio, full.ratio * 4.0);
 }

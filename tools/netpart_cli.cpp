@@ -12,8 +12,9 @@
 /// Prim1, Prim2, Test02..Test06) or a path to an hMETIS .hgr file.
 ///
 /// Flags (anywhere on the command line):
-///   --threads <n>         worker threads (0 = auto); default: hardware
-///                         concurrency, overridable via NETPART_THREADS
+///   --threads <n>         worker threads, at most 4096 (0 = auto);
+///                         default: hardware concurrency, overridable via
+///                         NETPART_THREADS
 ///   --repartition <file>  (partition, igmatch only) apply the ECO edit
 ///                         script and repartition incrementally at each
 ///                         `commit` (IG-Match against the carried-forward
@@ -86,9 +87,10 @@ void print_usage(std::ostream& os) {
         "  dot       <input> <out.dot>\n"
         "  list\n"
         "flags:\n"
-        "  --threads <n>         worker threads; 0 = auto (default: hardware\n"
-        "                        concurrency, env override NETPART_THREADS).\n"
-        "                        Results are identical for every value.\n"
+        "  --threads <n>         worker threads, at most 4096; 0 = auto\n"
+        "                        (default: hardware concurrency, env\n"
+        "                        override NETPART_THREADS).  Results are\n"
+        "                        identical for every value.\n"
         "  --repartition <file>  (partition, igmatch only) apply the ECO\n"
         "                        edit script, repartitioning incrementally\n"
         "                        at each 'commit'\n"
@@ -337,9 +339,7 @@ int cmd_dot(const std::string& input, const std::string& out_path) {
     std::cerr << "cannot open " << out_path << '\n';
     return 1;
   }
-  io::DotOptions options;
-  options.max_net_size = 16;  // keep rail hairballs out of the drawing
-  io::write_dot_netlist(out, h, options);
+  io::write_dot_netlist(out, h);
   std::cout << "wrote DOT netlist of " << input << " to " << out_path
             << " (render: neato -Tsvg " << out_path << " -o out.svg)\n";
   return 0;
@@ -472,6 +472,12 @@ int main(int argc, char** argv) {
       int threads = 0;
       if (!parse_nonneg_int(raw[++i], threads)) {
         std::cerr << "error: --threads requires a non-negative integer\n";
+        return 2;
+      }
+      // Each lane is an OS thread: refuse before the pool starts any.
+      if (threads > parallel::kMaxLanes) {
+        std::cerr << "error: --threads requires an integer <= "
+                  << parallel::kMaxLanes << '\n';
         return 2;
       }
       parallel::ThreadPool::instance().configure(threads);

@@ -11,9 +11,9 @@
 ///                          namespace (default: @netpartd)
 ///   --listen-tcp <h:p>     also listen on TCP host:port (same protocol,
 ///                          same admission/drain path; port 0 = ephemeral)
-///   --pool-lanes <n>       executor lanes (default 1).  Sessions pin to
-///                          lanes by name hash; responses stay
-///                          bit-identical at any lane count
+///   --pool-lanes <n>       executor lanes, at most 4096 (default 1).
+///                          Sessions pin to lanes by name hash; responses
+///                          stay bit-identical at any lane count
 ///   --queue <n>            hit-class pending bound (default 64); the
 ///                          warm and cold bounds derive from it
 ///   --cold-slots <n>       cold-class occupancy bound (0 = derive from
@@ -24,7 +24,8 @@
 ///   --idle-timeout <ms>    evict sessions idle this long, 0 = never
 ///   --default-timeout <ms> deadline for requests without timeout_ms
 ///   --max-frame <bytes>    per-request line limit (default 1 MiB)
-///   --threads <n>          worker threads for the compute pool (0 = auto)
+///   --threads <n>          worker threads for the compute pool, at most
+///                          4096 (0 = auto)
 ///   --flight-recorder <n>  keep the last n request records in the in-memory
 ///                          flight recorder (`debug` op / post-mortems);
 ///                          0 disables (default 256)
@@ -77,6 +78,7 @@ void print_usage(std::ostream& os) {
         "                [--debug-ops] [--no-obs] [--help]\n"
         "'@'-prefixed socket paths use the Linux abstract namespace.\n"
         "--listen-tcp serves the same protocol beside the unix socket.\n"
+        "--pool-lanes and --threads take at most 4096 lanes.\n"
         "See docs/SERVER.md for the wire protocol.\n";
 }
 
@@ -127,6 +129,17 @@ int main(int argc, char** argv) {
       out = static_cast<std::int32_t>(wide);
       return true;
     };
+    // The same for a lane count: each lane is an OS thread, so the bound
+    // is checked before any thread starts.
+    auto lanes_value = [&](std::int64_t& out) {
+      if (!value(out)) return false;
+      if (out > netpart::parallel::kMaxLanes) {
+        std::cerr << "error: " << arg << " requires an integer <= "
+                  << netpart::parallel::kMaxLanes << '\n';
+        return false;
+      }
+      return true;
+    };
     std::int64_t n = 0;
     std::int32_t n32 = 0;
     if (arg == "--help") {
@@ -145,7 +158,7 @@ int main(int argc, char** argv) {
       }
       options.tcp_listen = args[++i];
     } else if (arg == "--pool-lanes") {
-      if (!value(n)) return 2;
+      if (!lanes_value(n)) return 2;
       options.executor_lanes = static_cast<std::size_t>(n > 0 ? n : 1);
     } else if (arg == "--cold-slots") {
       if (!value(n)) return 2;
@@ -169,8 +182,9 @@ int main(int argc, char** argv) {
       if (!value(n)) return 2;
       options.max_frame_bytes = static_cast<std::size_t>(n);
     } else if (arg == "--threads") {
-      if (!value32(n32)) return 2;
-      netpart::parallel::ThreadPool::instance().configure(n32);
+      if (!lanes_value(n)) return 2;
+      netpart::parallel::ThreadPool::instance().configure(
+          static_cast<std::int32_t>(n));
     } else if (arg == "--access-log") {
       if (i + 1 >= args.size()) {
         std::cerr << "error: --access-log requires a path\n";
